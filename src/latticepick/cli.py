@@ -43,6 +43,7 @@ EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
+_MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
 
 
 class PolygonParseError(GeometryError):
@@ -86,6 +87,9 @@ def _parse_plain(text: str) -> list[LatticePoint]:
             if not _INT_TOKEN.match(tok):
                 raise PolygonParseError(f"non-integer coordinate {tok!r}",
                                         line=lineno, column=raw.index(tok) + 1)
+            if len(tok.lstrip("+-")) > _MAX_DIGITS:
+                raise PolygonParseError(f"coordinate over {_MAX_DIGITS} digits",
+                                        line=lineno, column=raw.index(tok) + 1)
             coords.append(int(tok))
         vertices.append(LatticePoint(coords[0], coords[1]))
     return vertices
@@ -96,6 +100,10 @@ def _parse_structured(text: str) -> list[LatticePoint]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PolygonParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # int() refusing a literal over its digit limit
+        raise PolygonParseError("integer literal with too many digits") from None
+    except RecursionError:
+        raise PolygonParseError("JSON nested too deeply") from None
     if not isinstance(data, list):
         raise PolygonParseError("expected a top-level array of [x, y] pairs")
     vertices = []
@@ -131,7 +139,12 @@ def parse_polygon(text: str, fmt: str = "auto",
 
 def _load(path: str, fmt: str) -> PolygonDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_polygon(fh.read(), fmt, source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PolygonParseError(
+                f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_polygon(text, fmt, source=path)
 
 
 def _cmd_area(args: argparse.Namespace, out: TextIO) -> int:
@@ -225,8 +238,9 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation,
 
 def _cmd_svg(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
-    result = primitive_triangulation(doc.polygon)
+    # the box guard applies before the unbounded triangulation starts
     interior, boundary = polygon_lattice_points(doc.polygon, args.max_box_points)
+    result = primitive_triangulation(doc.polygon)
     text = render_svg(doc.polygon, result, interior, boundary)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

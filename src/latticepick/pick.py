@@ -1,10 +1,10 @@
 """Lattice-point counting and the area identity twice_area = 2i + u - 2.
 
 The fast routes are boundary_count (a gcd sum over edges) and the
-shoelace area.  The slow routes enumerate lattice points directly:
-interior_count_oracle classifies every bounding-box point with the
-exact ray test, and the triangle-specialized counters enumerate by
-exact row intervals.  verify_pick and verify_additivity pit the routes
+shoelace area.  The slow route enumerates lattice points with one exact
+row scan over the edges, _lattice_rows, in O(rows * edges) integer
+work; interior_count_oracle, polygon_lattice_points and the triangle
+counters wrap it.  verify_pick and verify_additivity pit the routes
 against each other and fail loudly on any disagreement, which is the
 whole point of keeping both.
 """
@@ -12,6 +12,7 @@ whole point of keeping both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .core import (
     DegenerateTriangleError,
@@ -36,6 +37,8 @@ from .core import (
 #: Default ceiling on bounding-box lattice points for the enumeration
 #: oracles; boxes beyond it raise BoxTooLargeError instead of scanning.
 DEFAULT_BOX_LIMIT = 10**8
+
+_Row = tuple[int, list[tuple[int, int]], list[int]]
 
 
 class BoxTooLargeError(GeometryError):
@@ -97,145 +100,129 @@ def boundary_count(poly: LatticePolygon) -> int:
     return sum(edge_gcd(a, b) for a, b in poly.edges())
 
 
-def _guarded_box(poly: LatticePolygon, max_box_points: int) -> tuple[int, int, int, int]:
+def _guarded_box(poly: LatticePolygon, max_box_points: int) -> None:
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    count = (xmax - xmin + 1) * (ymax - ymin + 1)
+    count = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
     if count > max_box_points:
         raise BoxTooLargeError(
             f"bounding box holds {count} lattice points, over the limit "
             f"of {max_box_points}")
-    return xmin, xmax, ymin, ymax
 
 
-def _scan_box(poly: LatticePolygon, max_box_points: int) -> tuple[int, int]:
-    xmin, xmax, ymin, ymax = _guarded_box(poly, max_box_points)
-    quads = _edge_quads(poly.vertices)
+def _lattice_rows(vertices: Sequence[LatticePoint]) -> Iterator[_Row]:
+    """Scan the closed ring ``vertices`` (either orientation) row by row,
+    yielding ``(y, spans, boundary)`` for each y from the lowest vertex to
+    the highest: the disjoint closed x-spans of the closed polygon, in
+    increasing order, and the sorted x's of its boundary points.
+
+    Parity follows the half-open vertex rule of the per-point ray test:
+    an edge crosses row y iff (y1 > y) != (y2 > y).  A crossing x is
+    keyed as the integer 2*floor(x) + (0 if x is integral else 1), which
+    orders crossings exactly relative to every integer; crossings with
+    one key share an open unit interval, where their order moves no
+    lattice point, so no fractions are compared.
+    """
+    slanted = []  # (ylo, yhi, dx, dy > 0, offset): x = (offset + y*dx) / dy
+    on_row: dict[int, list[tuple[int, int]]] = {}  # vertices, flat edges
+    for p, q in zip(vertices, [*vertices[1:], vertices[0]]):
+        on_row.setdefault(p.y, []).append((p.x, p.x))
+        if p.y == q.y:
+            on_row[p.y].append((min(p.x, q.x), max(p.x, q.x)))
+            continue
+        if p.y > q.y:
+            p, q = q, p
+        dx, dy = q.x - p.x, q.y - p.y
+        slanted.append((p.y, q.y, dx, dy, p.x * dy - p.y * dx))
+    for y in range(min(on_row), max(on_row) + 1):
+        keys = []
+        for ylo, yhi, dx, dy, offset in slanted:
+            if ylo <= y < yhi:
+                x, frac = divmod(offset + y * dx, dy)
+                keys.append(2 * x + 1 if frac else 2 * x)
+        keys.sort()
+        spans = []
+        for j in range(0, len(keys), 2):
+            lo, hi = (keys[j] + 1) // 2, keys[j + 1] // 2
+            if lo <= hi:
+                spans.append((lo, hi))
+        boundary = [k // 2 for k in keys if k % 2 == 0]
+        if y in on_row:
+            # Vertices and flat edges may lie outside the parity spans,
+            # and edges meeting at a vertex cross the row at one point.
+            merged: list[tuple[int, int]] = []
+            for lo, hi in sorted(spans + on_row[y]):
+                if merged and lo <= merged[-1][1] + 1:
+                    merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+                else:
+                    merged.append((lo, hi))
+            spans = merged
+            boundary = sorted(set(boundary).union(
+                *(range(lo, hi + 1) for lo, hi in on_row[y])))
+        yield y, spans, boundary
+
+
+def _lattice_counts(rows: Iterator[_Row]) -> tuple[int, int]:
     interior = boundary = 0
-    for y in range(ymin, ymax + 1):
-        for x in range(xmin, xmax + 1):
-            loc = _classify_point(x, y, quads)
-            if loc is PointLocation.INTERIOR:
-                interior += 1
-            elif loc is PointLocation.BOUNDARY:
-                boundary += 1
+    for _, spans, on_boundary in rows:
+        interior += sum(hi - lo + 1 for lo, hi in spans) - len(on_boundary)
+        boundary += len(on_boundary)
     return interior, boundary
 
 
 def interior_count_oracle(poly: LatticePolygon,
                           max_box_points: int = DEFAULT_BOX_LIMIT) -> int:
-    """Count interior lattice points by brute force: classify every
-    point of the bounding box.  Slow but assumption-free; the guard
-    rejects boxes over ``max_box_points``."""
-    return _scan_box(poly, max_box_points)[0]
-
-
-def boundary_count_oracle(poly: LatticePolygon,
-                          max_box_points: int = DEFAULT_BOX_LIMIT) -> int:
-    """Boundary twin of interior_count_oracle, for checking
-    boundary_count against plain enumeration."""
-    return _scan_box(poly, max_box_points)[1]
+    """Count interior lattice points by enumeration: an exact row scan
+    over the edges, independent of the shoelace area and of the gcd
+    boundary sum.  The guard rejects bounding boxes over
+    ``max_box_points`` before any work starts."""
+    _guarded_box(poly, max_box_points)
+    return _lattice_counts(_lattice_rows(poly.vertices))[0]
 
 
 def polygon_lattice_points(poly: LatticePolygon,
                            max_box_points: int = DEFAULT_BOX_LIMIT,
                            ) -> tuple[list[LatticePoint], list[LatticePoint]]:
     """All (interior, boundary) lattice points of the polygon in
-    row-major order, by the same enumeration as the count oracles."""
-    xmin, xmax, ymin, ymax = _guarded_box(poly, max_box_points)
-    quads = _edge_quads(poly.vertices)
+    row-major order (by y, then x), by the same row scan and guard as
+    interior_count_oracle."""
+    _guarded_box(poly, max_box_points)
     interior: list[LatticePoint] = []
     boundary: list[LatticePoint] = []
-    for y in range(ymin, ymax + 1):
-        for x in range(xmin, xmax + 1):
-            loc = _classify_point(x, y, quads)
-            if loc is PointLocation.INTERIOR:
-                interior.append(LatticePoint(x, y))
-            elif loc is PointLocation.BOUNDARY:
-                boundary.append(LatticePoint(x, y))
+    for y, spans, on_boundary in _lattice_rows(poly.vertices):
+        skip = set(on_boundary)
+        interior += [LatticePoint(x, y) for lo, hi in spans
+                     for x in range(lo, hi + 1) if x not in skip]
+        boundary += [LatticePoint(x, y) for x in on_boundary]
     return interior, boundary
 
 
-def _ccw_triangle(a: LatticePoint, b: LatticePoint, c: LatticePoint,
-                  ) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
-    s = twice_signed_area(a, b, c)
-    if s == 0:
+def _triangle_rows(a: LatticePoint, b: LatticePoint, c: LatticePoint,
+                   ) -> Iterator[_Row]:
+    if twice_signed_area(a, b, c) == 0:
         raise DegenerateTriangleError(f"collinear vertices {a}, {b}, {c}")
-    return (a, b, c) if s > 0 else (a, c, b)
-
-
-def _row_bounds(a: LatticePoint, b: LatticePoint, c: LatticePoint):
-    """Per-edge half-plane data for row scanning a ccw triangle.
-
-    A counterclockwise edge keeps the triangle on its left, so
-    dy*x <= dx*(y - py) + dy*px bounds x from above when dy > 0 and
-    from below when dy < 0.  Horizontal edges only repeat the row range
-    and are skipped (``flat_y`` records their row for boundary work).
-    """
-    uppers = []
-    lowers = []
-    flat_y = None
-    for p, q in ((a, b), (b, c), (c, a)):
-        dy = q.y - p.y
-        dx = q.x - p.x
-        if dy > 0:
-            uppers.append((dx, dy, p.x, p.y))
-        elif dy < 0:
-            lowers.append((dx, dy, p.x, p.y))
-        else:
-            flat_y = p.y
-    return uppers, lowers, flat_y
+    return _lattice_rows((a, b, c))
 
 
 def closed_triangle_count(a: LatticePoint, b: LatticePoint, c: LatticePoint,
                           stop_above: int | None = None) -> int:
-    """Number of lattice points in the closed triangle abc, by exact
-    row intervals.  With ``stop_above`` set, the scan returns as soon
-    as the running count exceeds it (the result is then only known to
-    be > stop_above)."""
-    a, b, c = _ccw_triangle(a, b, c)
-    uppers, lowers, _ = _row_bounds(a, b, c)
+    """Number of lattice points in the closed triangle abc, by the row
+    scan.  With ``stop_above`` set, the scan returns as soon as the
+    running count exceeds it (the result is then only known to be
+    > stop_above)."""
     total = 0
-    for y in range(min(a.y, b.y, c.y), max(a.y, b.y, c.y) + 1):
-        hi = min((dx * (y - py) + dy * px) // dy for dx, dy, px, py in uppers)
-        lo = max(-((dx * (y - py) + dy * px) // -dy) for dx, dy, px, py in lowers)
-        if hi >= lo:
-            total += hi - lo + 1
-            if stop_above is not None and total > stop_above:
-                return total
+    for _, spans, _ in _triangle_rows(a, b, c):
+        total += sum(hi - lo + 1 for lo, hi in spans)
+        if stop_above is not None and total > stop_above:
+            return total
     return total
 
 
 def triangle_lattice_counts(a: LatticePoint, b: LatticePoint, c: LatticePoint,
                             ) -> tuple[int, int]:
-    """(interior, boundary) lattice-point counts of triangle abc by row
-    enumeration; the triangle-shaped fast variant of the box oracles."""
-    a, b, c = _ccw_triangle(a, b, c)
-    uppers, lowers, flat_y = _row_bounds(a, b, c)
-    edges = ((a, b), (b, c), (c, a))
-    interior = boundary = 0
-    for y in range(min(a.y, b.y, c.y), max(a.y, b.y, c.y) + 1):
-        hi = min((dx * (y - py) + dy * px) // dy for dx, dy, px, py in uppers)
-        lo = max(-((dx * (y - py) + dy * px) // -dy) for dx, dy, px, py in lowers)
-        if hi < lo:
-            continue
-        row = hi - lo + 1
-        if y == flat_y:
-            # the extreme row with a horizontal edge is boundary wall to wall
-            boundary += row
-            continue
-        on_edge = set()
-        for p, q in edges:
-            dy = q.y - p.y
-            if dy == 0 or not min(p.y, q.y) <= y <= max(p.y, q.y):
-                continue
-            r = (q.x - p.x) * (y - p.y) + dy * p.x
-            if r % dy == 0:
-                on_edge.add(r // dy)
-        boundary += len(on_edge)
-        interior += row - len(on_edge)
-    return interior, boundary
+    """(interior, boundary) lattice-point counts of triangle abc, in
+    either orientation, by the row scan."""
+    return _lattice_counts(_triangle_rows(a, b, c))
 
 
 def pick_twice_area(interior: int, boundary: int) -> int:

@@ -1,10 +1,14 @@
-"""Shared generators for randomized geometry tests.
+"""Shared generators and oracles for randomized geometry tests.
 
 Random polygons are built by sampling distinct lattice points and
 sorting them counterclockwise around their centroid with an exact
 integer comparator, then retrying until the result passes validation.
 That keeps every generated case inside the library's own preconditions
 without ever touching floating point.
+
+The lattice-point oracle here classifies every point of the bounding
+box with the per-point ray test, independently of the row scan the
+library counts with.
 """
 
 from __future__ import annotations
@@ -12,17 +16,46 @@ from __future__ import annotations
 import math
 import random
 from functools import cmp_to_key
+from typing import Sequence
 
 from latticepick import (
     GeometryError,
     LatticePoint,
     LatticePolygon,
     LatticeTriangle,
+    PointLocation,
     extended_gcd,
     gcd_edge_split,
     twice_signed_area,
     validate_polygon,
 )
+from latticepick.core import _classify_point, _edge_quads
+
+
+def box_scan_points(vertices: Sequence[LatticePoint],
+                    ) -> tuple[list[LatticePoint], list[LatticePoint]]:
+    """(interior, boundary) lattice points of the closed ring
+    ``vertices`` in row-major order, by classifying every point of its
+    bounding box.  O(box * edges): keep inputs small."""
+    quads = _edge_quads(vertices)
+    xs = [v.x for v in vertices]
+    ys = [v.y for v in vertices]
+    interior: list[LatticePoint] = []
+    boundary: list[LatticePoint] = []
+    for y in range(min(ys), max(ys) + 1):
+        for x in range(min(xs), max(xs) + 1):
+            loc = _classify_point(x, y, quads)
+            if loc is PointLocation.INTERIOR:
+                interior.append(LatticePoint(x, y))
+            elif loc is PointLocation.BOUNDARY:
+                boundary.append(LatticePoint(x, y))
+    return interior, boundary
+
+
+def boundary_count_oracle(poly: LatticePolygon) -> int:
+    """Boundary lattice points by plain enumeration, for checking the
+    gcd sum boundary_count."""
+    return len(box_scan_points(poly.vertices)[1])
 
 
 def angular_sort(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -25,6 +25,15 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 
 
+# inputs that must end in a parse error, not a traceback
+MALFORMED = {
+    "non_utf8.txt": b"0 0\n4 0\n0 4\n# \xff\xfe\n",
+    "huge_int.txt": b"0 0\n" + b"7" * 4400 + b" 0\n0 4\n",
+    "huge_int.json": b"[[0, 0], [" + b"7" * 4400 + b", 0], [0, 4]]",
+    "deep.json": b"[" * 200_000,
+}
+
+
 def polygon_files() -> list[Path]:
     files = sorted(DATA.glob("*.txt")) + sorted(DATA.glob("*.json"))
     assert len(files) >= 10
@@ -145,6 +154,20 @@ class TestExitCodes:
     ])
     def test_invalid_fixtures(self, name, code, capsys):
         assert main(["pick", str(DATA / "invalid" / name)]) == code
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_input_is_parse_error(self, name, tmp_path, capsys):
+        f = tmp_path / name
+        f.write_bytes(MALFORMED[name])
+        assert main(["pick", str(f)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_svg_guard_before_triangulating(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n20000 0\n20000 20000\n0 20000\n")
+        out_file = tmp_path / "p.svg"
+        assert main(["svg", str(f), "-o", str(out_file)]) == EXIT_GUARD
+        assert not out_file.exists()
 
 
 class TestOutputs:

@@ -18,12 +18,12 @@ from latticepick import (
     PickCount,
     PreconditionError,
     boundary_count,
-    boundary_count_oracle,
     closed_triangle_count,
     interior_count_oracle,
     pick_twice_area,
     polygon_lattice_points,
     primitive_triangulation,
+    segment_lattice_points,
     triangle_lattice_counts,
     twice_polygon_area,
     validate_polygon,
@@ -31,7 +31,14 @@ from latticepick import (
     verify_pick,
 )
 
-from tests.conftest import random_lattice_polygon, random_triangle_corners
+from latticepick.pick import _lattice_rows
+from tests.conftest import (
+    boundary_count_oracle,
+    box_scan_points,
+    random_lattice_polygon,
+    random_triangle_corners,
+    random_unimodular_triangle,
+)
 
 P = LatticePoint
 
@@ -111,10 +118,88 @@ class TestTriangleCounters:
     def test_matches_bounding_box_scan(self, seed):
         rng = random.Random(seed)
         a, b, c = random_triangle_corners(rng, rng.choice([4, 12, 40]))
-        poly = validate_polygon([a, b, c])
-        expected = (interior_count_oracle(poly), boundary_count_oracle(poly))
+        interior, boundary = box_scan_points([a, b, c])
+        expected = (len(interior), len(boundary))
         assert triangle_lattice_counts(a, b, c) == expected
         assert closed_triangle_count(a, b, c) == sum(expected)
+
+
+def histogram_ring(rng: random.Random) -> list[LatticePoint]:
+    """A rectilinear polygon of columns on a common base, mirrored or
+    transposed at random: horizontal edges, collinear vertices, several
+    vertices on one row and reflex corners."""
+    k = rng.randint(1, 6)
+    xs = sorted(rng.sample(range(15), k + 1))
+    heights = [rng.randint(1, 8) for _ in range(k)]
+    ring = [P(xs[0], 0), P(xs[-1], 0)]
+    for i in reversed(range(k)):
+        ring += [P(xs[i + 1], heights[i]), P(xs[i], heights[i])]
+    ring = [p for i, p in enumerate(ring) if p != ring[i - 1]]
+    sx, sy = rng.choice((1, -1)), rng.choice((1, -1))
+    ring = [P(sx * p.x, sy * p.y) for p in ring]
+    if rng.random() < 0.5:
+        ring = [P(p.y, p.x) for p in ring]
+    return ring
+
+
+def collinear_runs_ring(rng: random.Random) -> list[LatticePoint]:
+    """A random polygon, scaled up, with lattice points of its edges
+    inserted as extra vertices."""
+    scale = rng.randint(1, 3)
+    poly = random_lattice_polygon(rng, rng.randint(3, 7), 6)
+    ring = []
+    for a, b in poly.edges():
+        a, b = P(scale * a.x, scale * a.y), P(scale * b.x, scale * b.y)
+        ring += [p for j, p in enumerate(segment_lattice_points(a, b)[:-1])
+                 if j == 0 or rng.random() < 0.5]
+    return ring
+
+
+def sliver_ring(rng: random.Random) -> list[LatticePoint]:
+    """A long thin triangle of doubled area 1, or the parallelogram of
+    doubled area 2 it spans."""
+    a, b, c = random_unimodular_triangle(rng, 20)
+    if rng.random() < 0.5:
+        return [a, b, c]
+    return [a, b, P(b.x + c.x - a.x, b.y + c.y - a.y), c]
+
+
+RINGS = {
+    "random": lambda rng: list(
+        random_lattice_polygon(rng, rng.randint(3, 10), 9).vertices),
+    "histogram": histogram_ring,
+    "collinear_runs": collinear_runs_ring,
+    "sliver": sliver_ring,
+}
+
+
+class TestRowScan:
+    """The row scan behind every counting routine against the per-point
+    bounding-box oracle of the tests."""
+
+    @given(shape=st.sampled_from(sorted(RINGS)),
+           seed=st.integers(min_value=0, max_value=10**6),
+           far=st.booleans(), clockwise=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_box_scan(self, shape, seed, far, clockwise):
+        rng = random.Random(seed)
+        ring = RINGS[shape](rng)
+        if far:
+            ox = rng.choice((1, -1)) * (2**31 - 100)
+            oy = rng.choice((1, -1)) * (2**31 - 100)
+            ring = [P(p.x + ox, p.y + oy) for p in ring]
+        poly = validate_polygon(ring)
+        if clockwise:
+            ring = list(poly.vertices[::-1])
+        expected = box_scan_points(poly.vertices)
+        assert polygon_lattice_points(poly) == expected
+        assert interior_count_oracle(poly) == len(expected[0])
+        assert boundary_count(poly) == len(expected[1])
+        assert list(_lattice_rows(ring)) == list(_lattice_rows(poly.vertices))
+        if len(ring) == 3:
+            counts = (len(expected[0]), len(expected[1]))
+            assert triangle_lattice_counts(*ring) == counts
+            assert closed_triangle_count(*ring) == sum(counts)
 
 
 class TestPickIdentity:

@@ -13,7 +13,10 @@ Two independent routes to the point are provided:
   lattice point on the carrier line of the shrunk segment has the form
   (x0 + p*i, y0 + q*i); sliding i until the y coordinate falls in a
   half-open window of height |q| pins down the unique representative on
-  the segment itself.
+  the segment itself.  The construction lives once, in the private
+  integer routine _split_offset, which the refinement kernel in
+  triangulate calls on plain ints and normalize shares its frame
+  rotation with.
 * split_point_scan walks all n evenly spaced candidate positions on the
   shrunk segment and keeps the ones with integer coordinates.  It is
   O(n) and doubles as the uniqueness check.
@@ -98,6 +101,42 @@ _QUARTER_CCW = (0, -1, 1, 0)   # (x, y) -> (-y, x)
 _QUARTER_CW = (0, 1, -1, 0)    # (x, y) -> (y, -x)
 
 
+def _rotation(ux: int, uy: int, vx: int,
+              vy: int) -> tuple[int, int, int, int]:
+    """The quarter turn that puts offset u strictly below offset v,
+    for a counterclockwise pair (u x v > 0)."""
+    if uy < vy:
+        return _IDENTITY
+    if uy > vy:
+        return _HALF_TURN
+    return _QUARTER_CCW if ux < vx else _QUARTER_CW
+
+
+def _split_offset(ux: int, uy: int, vx: int, vy: int,
+                  n: int) -> tuple[int, int]:
+    """The Bezout split point of the triangle with offsets u and v
+    from its pivot, as an offset from the pivot.
+
+    Requires u x v = n > 1 and a primitive u - v; the caller checks.
+    The offsets are turned so that u lies strictly below v (for a
+    normalized triangle the turn is the identity), the point is
+    constructed there, and the inverse turn, the transpose, maps it
+    back.  This is the one copy of the construction; see
+    interior_split_point for the formula.
+    """
+    m00, m01, m10, m11 = _rotation(ux, uy, vx, vy)
+    ay = m10 * ux + m11 * uy
+    p = m00 * (ux - vx) + m01 * (uy - vy)
+    q = ay - (m10 * vx + m11 * vy)          # q < 0 after the turn
+    bez = extended_gcd(p, -q)               # p*s - q*t == 1
+    x = (n - 1) * bez.t
+    y = (n - 1) * bez.s
+    i = (ay * (n - 1) - n * y) // (n * q)   # floor; n*q < 0
+    x += p * i
+    y += q * i
+    return m00 * x + m10 * y, m01 * x + m11 * y
+
+
 def normalize(points: Sequence[LatticePoint], pivot: int) -> NormalizedTriangle:
     """Translate, possibly relabel, and rotate a triangle into the
     canonical frame.
@@ -121,14 +160,7 @@ def normalize(points: Sequence[LatticePoint], pivot: int) -> NormalizedTriangle:
     swapped = n < 0
     if swapped:
         u, v, n = v, u, -n
-    if u.dy < v.dy:
-        m = _IDENTITY
-    elif u.dy > v.dy:
-        m = _HALF_TURN
-    elif u.dx < v.dx:
-        m = _QUARTER_CCW
-    else:
-        m = _QUARTER_CW
+    m = _rotation(u.dx, u.dy, v.dx, v.dy)
     a = LatticeVector(m[0] * u.dx + m[1] * u.dy, m[2] * u.dx + m[3] * u.dy)
     b = LatticeVector(m[0] * v.dx + m[1] * v.dy, m[2] * v.dx + m[3] * v.dy)
     return NormalizedTriangle(a=a, b=b,
@@ -136,17 +168,14 @@ def normalize(points: Sequence[LatticePoint], pivot: int) -> NormalizedTriangle:
                               twice_area=n)
 
 
-def _require_splittable(nt: NormalizedTriangle) -> tuple[int, int]:
+def _require_splittable(nt: NormalizedTriangle) -> None:
     if nt.twice_area <= 1:
         raise PreconditionError(
             "triangle already has the minimum doubled area 1; nothing to split")
-    p = nt.a.dx - nt.b.dx
-    q = nt.a.dy - nt.b.dy
-    if math.gcd(abs(p), abs(q)) != 1:
+    if math.gcd(nt.a.dx - nt.b.dx, nt.a.dy - nt.b.dy) != 1:
         raise PreconditionError(
             "opposite edge is not primitive; split it at one of its own "
             "lattice points instead")
-    return p, q
 
 
 def interior_split_point(nt: NormalizedTriangle) -> LatticePoint:
@@ -160,14 +189,9 @@ def interior_split_point(nt: NormalizedTriangle) -> LatticePoint:
     c*(n-1)/n <= y < c*(n-1)/n - (c-d), which the segment's lattice
     point provably occupies.
     """
-    p, q = _require_splittable(nt)          # q < 0 because a.dy < b.dy
-    n = nt.twice_area
-    bez = extended_gcd(p, -q)               # p*s - q*t == 1
-    x = (n - 1) * bez.t
-    y = (n - 1) * bez.s
-    c = nt.a.dy
-    i = (c * (n - 1) - n * y) // (n * q)    # floor; n*q < 0
-    return LatticePoint(x + p * i, y + q * i)
+    _require_splittable(nt)
+    return LatticePoint(*_split_offset(nt.a.dx, nt.a.dy, nt.b.dx, nt.b.dy,
+                                       nt.twice_area))
 
 
 def split_point_scan(nt: NormalizedTriangle) -> LatticePoint:

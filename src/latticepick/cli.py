@@ -33,7 +33,7 @@ from .pick import (
     polygon_lattice_points,
     verify_pick,
 )
-from .triangulate import LatticeTriangle, Triangulation, primitive_triangulation
+from .triangulate import TriangleTuple, Triangulation, primitive_triangulation
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -171,22 +171,22 @@ def _cmd_pick(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _coords(tri: LatticeTriangle) -> str:
-    return (f"{tri.v0.x} {tri.v0.y} {tri.v1.x} {tri.v1.y} "
-            f"{tri.v2.x} {tri.v2.y}")
+def _coords(tri: TriangleTuple) -> str:
+    (ax, ay), (bx, by), (cx, cy), _ = tri
+    return f"{ax} {ay} {bx} {by} {cx} {cy}"
 
 
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
     result = primitive_triangulation(doc.polygon)
-    for tri in result.triangles:
+    for tri in result.triangle_tuples:
         out.write(_coords(tri) + "\n")
     if args.events:
-        for num, event in enumerate(result.events, start=1):
-            out.write(f"event {num} {event.rule.value} "
-                      f"point {event.point.x} {event.point.y}\n")
-            out.write(f"  parent {_coords(event.parent)}\n")
-            for child in event.children:
+        for num, (parent, rule, (dx, dy), children) in \
+                enumerate(result.event_tuples, start=1):
+            out.write(f"event {num} {rule.value} point {dx} {dy}\n")
+            out.write(f"  parent {_coords(parent)}\n")
+            for child in children:
                 out.write(f"  child {_coords(child)}\n")
     return EXIT_OK
 
@@ -217,8 +217,8 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation,
         f'width="{width}" height="{height}">',
         '  <g fill="none" stroke="#999999" stroke-width="1">',
     ]
-    for tri in triangulation.triangles:
-        pts = " ".join(f"{sx(v.x)},{sy(v.y)}" for v in tri.vertices)
+    for tri in triangulation.triangle_tuples:
+        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in tri[:3])
         lines.append(f'    <polygon points="{pts}"/>')
     lines.append("  </g>")
     outline = " ".join(f"{sx(v.x)},{sy(v.y)}" for v in poly.vertices)

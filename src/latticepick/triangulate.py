@@ -9,6 +9,16 @@ located by the Bezout construction.  Every split strictly reduces the
 children's areas, so the process terminates with exactly
 twice_polygon_area unit-doubled-area ("primitive") triangles.
 
+Refinement runs on plain tuples: a triangle is (a, b, c, twice_area)
+with (x, y) points, counterclockwise.  One step, _split, does both
+kinds of split and checks that its children are counterclockwise,
+non-degenerate and cover the parent's area.  The finished list is then
+proved once by _certify, a tiling certificate: the directed edges of
+all triangles, each cancelled against its reverse, leave exactly the
+polygon's counterclockwise primitive boundary edges.  Triangulation
+stores the tuples and builds LatticeTriangle and SplitEvent objects
+only when they are first asked for.
+
 The whole refinement is deterministic: ears are clipped at the first
 eligible vertex in ring order, edges are examined in a fixed order, and
 children are processed depth-first in construction order.  Re-running
@@ -18,8 +28,10 @@ log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .core import (
     DegenerateTriangleError,
@@ -31,13 +43,21 @@ from .core import (
     twice_polygon_area,
     twice_signed_area,
 )
-from .bezout import interior_split_point, normalize
+# normalize and interior_split_point are not called here, but the
+# per-layer tracer of bench/tracing.py looks them up in this module
+from .bezout import _split_offset, interior_split_point, normalize  # noqa: F401
 
 
 class SplitRule(Enum):
     EDGE_GCD = "edge-gcd-split"
     INTERIOR_POINT = "interior-point-split"
-    DEGENERATE_THREE_WAY = "degenerate-three-way"
+
+
+Point = tuple[int, int]
+#: (a, b, c, twice_area), counterclockwise
+TriangleTuple = tuple[Point, Point, Point, int]
+#: (parent, rule, split point, children)
+EventTuple = tuple[TriangleTuple, SplitRule, Point, tuple[TriangleTuple, ...]]
 
 
 @dataclass(frozen=True)
@@ -97,22 +117,50 @@ class SplitEvent:
                 raise InternalInvariantError("split child uses a foreign vertex")
 
 
+def _as_tuple(tri: LatticeTriangle) -> TriangleTuple:
+    return ((tri.v0.x, tri.v0.y), (tri.v1.x, tri.v1.y),
+            (tri.v2.x, tri.v2.y), tri.twice_area)
+
+
+def _as_triangle(t: TriangleTuple) -> LatticeTriangle:
+    a, b, c, s = t
+    return LatticeTriangle(LatticePoint(*a), LatticePoint(*b),
+                           LatticePoint(*c), s)
+
+
+def _event(parent: LatticeTriangle, rule: SplitRule, d: Point,
+           children: tuple[TriangleTuple, ...]) -> SplitEvent:
+    return SplitEvent(parent, rule, LatticePoint(*d),
+                      tuple(_as_triangle(ch) for ch in children))
+
+
 @dataclass(frozen=True)
 class Triangulation:
-    """Finished refinement of ``source``: all triangles have doubled
-    area 1 and there are exactly twice_polygon_area(source) of them.
-    ``events`` replays the refinement from the initial ear clipping."""
+    """Finished refinement of ``source``: exactly
+    twice_polygon_area(source) counterclockwise triangles of doubled
+    area 1 that tile it.  primitive_triangulation proves this with the
+    tiling certificate before it builds the object.
 
-    triangles: tuple[LatticeTriangle, ...]
-    events: tuple[SplitEvent, ...]
+    ``triangle_tuples`` and ``event_tuples`` hold the refinement
+    kernel's plain tuples, triangles in completion order and the split
+    log that replays the refinement from the initial ear clipping.
+    ``triangles`` and ``events`` are the same as LatticeTriangle and
+    SplitEvent objects, built with all their checks on first access
+    and cached.
+    """
+
+    triangle_tuples: tuple[TriangleTuple, ...]
+    event_tuples: tuple[EventTuple, ...]
     source: LatticePolygon
 
-    def __post_init__(self) -> None:
-        if any(t.twice_area != 1 for t in self.triangles):
-            raise InternalInvariantError("unfinished triangulation")
-        if len(self.triangles) != twice_polygon_area(self.source):
-            raise InternalInvariantError(
-                "triangle count must equal the doubled polygon area")
+    @cached_property
+    def triangles(self) -> tuple[LatticeTriangle, ...]:
+        return tuple(_as_triangle(t) for t in self.triangle_tuples)
+
+    @cached_property
+    def events(self) -> tuple[SplitEvent, ...]:
+        return tuple(_event(_as_triangle(parent), rule, d, children)
+                     for parent, rule, d, children in self.event_tuples)
 
 
 def _in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,
@@ -154,6 +202,52 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     return out
 
 
+def _split(a: Point, b: Point, c: Point,
+           s: int) -> tuple[SplitRule, Point, tuple[TriangleTuple, ...]]:
+    """Split the counterclockwise triangle abc of doubled area s > 1.
+
+    Edges are examined in the fixed order ab, bc, ca.  For the first
+    edge PQ whose deltas have gcd k > 1, with O the opposite vertex, the
+    split point is D = ((k-1)*P + Q) / k, the edge lattice point one
+    step from P, and the children are (P, D, O) then (Q, O, D).  With
+    all edges primitive, D is the Bezout point with c as the pivot,
+    which lies strictly inside, and the children are (a, b, D),
+    (a, D, c) then (b, c, D).
+
+    Each child is checked to be counterclockwise and non-degenerate,
+    and their doubled areas to sum to s; anything else raises
+    InternalInvariantError.
+    """
+    for p, q, o in ((a, b, c), (b, c, a), (c, a, b)):
+        (px, py), (qx, qy) = p, q
+        k = math.gcd(qx - px, qy - py)
+        if k > 1:
+            d = (px + (qx - px) // k, py + (qy - py) // k)
+            rule = SplitRule.EDGE_GCD
+            corners = ((p, d, o), (q, o, d))
+            break
+    else:
+        (ax, ay), (bx, by), (cx, cy) = a, b, c
+        ox, oy = _split_offset(ax - cx, ay - cy, bx - cx, by - cy, s)
+        d = (cx + ox, cy + oy)
+        rule = SplitRule.INTERIOR_POINT
+        corners = ((a, b, d), (a, d, c), (b, c, d))
+    children = []
+    total = 0
+    for u, v, w in corners:
+        (ux, uy), (vx, vy), (wx, wy) = u, v, w
+        area = (vx - ux) * (wy - uy) - (wx - ux) * (vy - uy)
+        if area <= 0:
+            raise InternalInvariantError(
+                f"{rule.value} at {d} gives a clockwise or degenerate child")
+        total += area
+        children.append((u, v, w, area))
+    if total != s:
+        raise InternalInvariantError(
+            f"{rule.value} at {d}: children do not cover the parent")
+    return rule, d, tuple(children)
+
+
 def gcd_edge_split(tri: LatticeTriangle) -> SplitEvent | None:
     """Split at a lattice point of the first non-primitive edge, or
     return None if all three edges are primitive.
@@ -161,21 +255,12 @@ def gcd_edge_split(tri: LatticeTriangle) -> SplitEvent | None:
     Edges are examined in the fixed order v0v1, v1v2, v2v0.  For an edge
     AB whose deltas have gcd k > 1 the split point is
     ((k-1)*A + B) / k, the edge lattice point one step from A; the
-    children are (A, C, D) then (B, C, D) with C the opposite vertex.
+    children are (A, D, C) then (B, C, D) with C the opposite vertex.
     """
     corners = tri.vertices
-    for i in range(3):
-        a = corners[i]
-        b = corners[(i + 1) % 3]
-        k = edge_gcd(a, b)
-        if k == 1:
-            continue
-        c = corners[(i + 2) % 3]
-        d = LatticePoint(a.x + (b.x - a.x) // k, a.y + (b.y - a.y) // k)
-        children = (LatticeTriangle.from_points(a, c, d),
-                    LatticeTriangle.from_points(b, c, d))
-        return SplitEvent(tri, SplitRule.EDGE_GCD, d, children)
-    return None
+    if all(edge_gcd(corners[i - 1], corners[i]) == 1 for i in range(3)):
+        return None
+    return _event(tri, *_split(*_as_tuple(tri)))
 
 
 def interior_split(tri: LatticeTriangle) -> SplitEvent:
@@ -183,10 +268,9 @@ def interior_split(tri: LatticeTriangle) -> SplitEvent:
     at the lattice point produced by the Bezout construction with v2 as
     the pivot.
 
-    Normally the point is interior and the split is three-way:
-    (v0, v1, D), (v0, v2, D), (v1, v2, D).  When the point lands on an
-    edge through the pivot, the child that would collapse is dropped and
-    the event is tagged degenerate-three-way.
+    The point lies strictly inside, because a point on an edge through
+    the pivot would make that edge non-primitive, so the split is
+    always three-way: (v0, v1, D), (v0, D, v2), (v1, v2, D).
     """
     if tri.twice_area <= 1:
         raise PreconditionError("triangle already has doubled area 1")
@@ -196,17 +280,83 @@ def interior_split(tri: LatticeTriangle) -> SplitEvent:
             raise PreconditionError(
                 "interior_split requires all edges primitive; "
                 "apply gcd_edge_split first")
-    nt = normalize(corners, pivot=2)
-    d = nt.transform.to_original(interior_split_point(nt))
-    a, b, c = corners
-    rule = SplitRule.INTERIOR_POINT
-    children = []
-    for p, q in ((a, b), (a, c), (b, c)):
-        if twice_signed_area(p, q, d) == 0:
-            rule = SplitRule.DEGENERATE_THREE_WAY
+    return _event(tri, *_split(*_as_tuple(tri)))
+
+
+def _refine(poly: LatticePolygon
+            ) -> tuple[list[TriangleTuple], list[EventTuple]]:
+    """Refine the ear-clipped triangles of ``poly`` depth-first: the
+    initial triangles in order, each split's children next, in
+    construction order.  Returns the finished triangles in completion
+    order and the split log."""
+    stack = [_as_tuple(t) for t in reversed(initial_triangulation(poly))]
+    done: list[TriangleTuple] = []
+    events: list[EventTuple] = []
+    while stack:
+        tri = stack.pop()
+        if tri[3] == 1:
+            done.append(tri)
             continue
-        children.append(LatticeTriangle.from_points(p, q, d))
-    return SplitEvent(tri, rule, d, tuple(children))
+        rule, d, children = _split(*tri)
+        events.append((tri, rule, d, children))
+        stack.extend(reversed(children))
+    return done, events
+
+
+def _certify(poly: LatticePolygon, tris: list[TriangleTuple]) -> None:
+    """Prove that ``tris`` tile ``poly`` with triangles of doubled
+    area 1, or raise InternalInvariantError.
+
+    Every triangle must be counterclockwise with doubled area 1,
+    recomputed from its vertices, and there must be
+    twice_polygon_area(poly) of them.  Each directed edge cancels a
+    pending copy of its reverse or waits for one; what is left must be
+    exactly the polygon's counterclockwise primitive boundary edges.
+    The triangles then sum, as a 2-chain, to the polygon: every point
+    off the edges lies in exactly one triangle, so there is no overlap
+    and no gap.
+    """
+    if len(tris) != twice_polygon_area(poly):
+        raise InternalInvariantError(
+            "triangle count must equal the doubled polygon area")
+    pending: set[tuple[Point, Point]] = set()
+    cancelled = 0
+    for a, b, c, _ in tris:
+        (ax, ay), (bx, by), (cx, cy) = a, b, c
+        if (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 1:
+            raise InternalInvariantError(
+                f"triangle {a} {b} {c} is not counterclockwise "
+                "of doubled area 1")
+        # unrolled over the edges ab, bc, ca: this loop runs once per
+        # output triangle
+        if (b, a) in pending:
+            pending.remove((b, a))
+            cancelled += 1
+        else:
+            pending.add((a, b))
+        if (c, b) in pending:
+            pending.remove((c, b))
+            cancelled += 1
+        else:
+            pending.add((b, c))
+        if (a, c) in pending:
+            pending.remove((a, c))
+            cancelled += 1
+        else:
+            pending.add((c, a))
+    # an add that found its edge already pending was lost; the set
+    # then no longer holds the edge sum
+    if len(pending) != 3 * len(tris) - 2 * cancelled:
+        raise InternalInvariantError("two triangles share a directed edge")
+    boundary = set()
+    for p, q in poly.edges():
+        k = edge_gcd(p, q)
+        sx, sy = (q.x - p.x) // k, (q.y - p.y) // k
+        points = [(p.x + j * sx, p.y + j * sy) for j in range(k + 1)]
+        boundary.update(zip(points, points[1:]))
+    if pending != boundary:
+        raise InternalInvariantError(
+            "triangle edges do not cancel to the polygon boundary")
 
 
 def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
@@ -214,18 +364,10 @@ def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
 
     Work proceeds depth-first: the initial ear-clipped triangles are
     processed in order, and each split's children are processed next,
-    in construction order.  The result lists triangles in completion
-    order together with the full split-event log.
+    in construction order.  The result, proved by the tiling
+    certificate, lists triangles in completion order together with the
+    full split-event log.
     """
-    stack = list(reversed(initial_triangulation(poly)))
-    events: list[SplitEvent] = []
-    done: list[LatticeTriangle] = []
-    while stack:
-        tri = stack.pop()
-        if tri.twice_area == 1:
-            done.append(tri)
-            continue
-        event = gcd_edge_split(tri) or interior_split(tri)
-        events.append(event)
-        stack.extend(reversed(event.children))
-    return Triangulation(tuple(done), tuple(events), poly)
+    tris, events = _refine(poly)
+    _certify(poly, tris)
+    return Triangulation(tuple(tris), tuple(events), poly)

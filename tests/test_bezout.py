@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from latticepick import (
     split_point_scan,
     twice_signed_area,
 )
+from latticepick.bezout import _split_offset
 
 from tests.conftest import random_triangle_corners
 
@@ -135,6 +137,24 @@ class TestSplitPoint:
         o, a, b = normalized_corners(nt)
         assert d not in (o, a, b)
         assert in_closed_triangle(d, o, a, b)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_offset_in_any_frame_matches_scan(self, seed):
+        # the refinement kernel calls _split_offset on raw offsets, so
+        # every quarter turn is exercised, not only the identity
+        rng = random.Random(seed)
+        while True:
+            a, b, c = random_triangle_corners(rng, rng.choice([4, 10, 40]))
+            if twice_signed_area(a, b, c) < 0:
+                a, b = b, a
+            n = twice_signed_area(a, b, c)
+            if n > 1 and math.gcd(a.x - b.x, a.y - b.y) == 1:
+                break
+        nt = normalize([a, b, c], pivot=2)
+        d = nt.transform.to_original(split_point_scan(nt))
+        assert _split_offset(a.x - c.x, a.y - c.y, b.x - c.x, b.y - c.y,
+                             n) == (d.x - c.x, d.y - c.y)
 
     @staticmethod
     def _splittable(rng: random.Random,

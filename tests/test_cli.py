@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latticepick import LatticePoint, verify_pick
+from latticepick import LatticePoint, triangulate, verify_pick
 from latticepick.cli import (
     EXIT_GUARD,
     EXIT_INTERNAL,
@@ -168,6 +168,23 @@ class TestExitCodes:
         out_file = tmp_path / "p.svg"
         assert main(["svg", str(f), "-o", str(out_file)]) == EXIT_GUARD
         assert not out_file.exists()
+
+    def test_certificate_failure_is_internal_error(self, tmp_path,
+                                                   monkeypatch, capsys):
+        refine = triangulate._refine
+
+        def misplaced(poly):
+            # one triangle swapped for a unit triangle outside the polygon
+            tris, events = refine(poly)
+            return [((40, 40), (41, 40), (40, 41), 1)] + tris[1:], events
+
+        monkeypatch.setattr(triangulate, "_refine", misplaced)
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n2 0\n2 2\n0 2\n")
+        assert main(["triangulate", str(f)]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
 
 
 class TestOutputs:

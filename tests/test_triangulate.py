@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from latticepick import (
     DegenerateTriangleError,
+    InternalInvariantError,
     LatticePoint,
     LatticeTriangle,
     PointLocation,
@@ -26,6 +27,9 @@ from latticepick import (
     twice_signed_area,
     validate_polygon,
 )
+from latticepick import triangulate
+from latticepick.cli import main
+from latticepick.triangulate import _certify, _refine, _split
 
 from tests.conftest import random_lattice_polygon, random_splittable_triangle
 
@@ -131,6 +135,14 @@ class TestInteriorSplit:
         with pytest.raises(PreconditionError):
             interior_split(tri)
 
+    def test_collinear_child_is_internal_error(self, monkeypatch):
+        # a split point on the line through v0 and v2 would give a
+        # degenerate child; the Bezout point never does
+        monkeypatch.setattr(triangulate, "_split_offset",
+                            lambda ux, uy, vx, vy, n: (2 * ux, 2 * uy))
+        with pytest.raises(InternalInvariantError, match="degenerate child"):
+            _split((0, 0), (1, 2), (-1, 1), 3)
+
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200, deadline=None)
     def test_children_cover_parent(self, seed):
@@ -138,11 +150,9 @@ class TestInteriorSplit:
         tri = random_splittable_triangle(rng, rng.choice([4, 9, 25]))
         event = interior_split(tri)
         assert sum(ch.twice_area for ch in event.children) == tri.twice_area
-        assert len(event.children) in (2, 3)
-        if len(event.children) == 2:
-            assert event.rule is SplitRule.DEGENERATE_THREE_WAY
-        else:
-            assert event.rule is SplitRule.INTERIOR_POINT
+        # the Bezout point lies strictly inside: always three children
+        assert len(event.children) == 3
+        assert event.rule is SplitRule.INTERIOR_POINT
 
 
 class TestPrimitiveTriangulation:
@@ -229,3 +239,84 @@ class TestPrimitiveTriangulation:
                     twice_signed_area(scaled[k], scaled[(k + 1) % 3], probe) > 0
                     for k in range(3))
                 assert not strictly_inside
+
+
+PENTAGON = validate_polygon([P(0, 0), P(5, 0), P(6, 4), P(2, 7), P(-2, 3)])
+
+
+def flip(t):
+    a, b, c, s = t
+    return (a, c, b, s)
+
+
+def shear(t):
+    # keeps the doubled area 1 and the orientation, moves vertex c
+    (ax, ay), (bx, by), (cx, cy), s = t
+    return ((ax, ay), (bx, by), (cx + bx - ax, cy + by - ay), s)
+
+
+class TestCertificate:
+    def test_accepts_the_refinement(self):
+        tris, _ = _refine(PENTAGON)
+        _certify(PENTAGON, tris)
+
+    @pytest.mark.parametrize("corrupt,caught_by", [
+        (lambda ts: ts[:-1], "count"),
+        (lambda ts: ts + ts[:1], "count"),
+        (lambda ts: [flip(ts[0])] + ts[1:], "not counterclockwise"),
+        # count and unit areas still hold: only the edges give these away
+        (lambda ts: ts[:5] + [shear(ts[5])] + ts[6:],
+         "directed edge|polygon boundary"),
+        (lambda ts: [((40, 40), (41, 40), (40, 41), 1)] + ts[1:],
+         "polygon boundary"),
+    ], ids=["drop", "duplicate", "reverse", "move_vertex", "outside"])
+    def test_rejects_a_corrupted_tiling(self, corrupt, caught_by):
+        tris, _ = _refine(PENTAGON)
+        with pytest.raises(InternalInvariantError, match=caught_by):
+            _certify(PENTAGON, corrupt(tris))
+
+
+def lines_from_objects(result) -> str:
+    """The triangulate --events output, formatted from the
+    materialized LatticeTriangle and SplitEvent objects."""
+    def coords(t: LatticeTriangle) -> str:
+        return f"{t.v0.x} {t.v0.y} {t.v1.x} {t.v1.y} {t.v2.x} {t.v2.y}"
+
+    lines = [coords(t) for t in result.triangles]
+    for num, event in enumerate(result.events, start=1):
+        lines.append(f"event {num} {event.rule.value} "
+                     f"point {event.point.x} {event.point.y}")
+        lines.append(f"  parent {coords(event.parent)}")
+        lines += [f"  child {coords(ch)}" for ch in event.children]
+    return "\n".join(lines) + "\n"
+
+
+class TestCrossCheck:
+    def test_cli_matches_materialized_objects(self, tmp_path, capsys):
+        rng = random.Random(20140917)
+        for k in range(30):
+            poly = random_lattice_polygon(rng, rng.randint(3, 9), 7)
+            f = tmp_path / f"p{k}.txt"
+            f.write_text("".join(f"{v.x} {v.y}\n" for v in poly.vertices))
+            assert main(["triangulate", str(f), "--events"]) == 0
+            assert capsys.readouterr().out == \
+                lines_from_objects(primitive_triangulation(poly))
+
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_events_match_public_split_replay(self, seed):
+        rng = random.Random(seed)
+        poly = random_lattice_polygon(rng, rng.randint(3, 9), 7)
+        result = primitive_triangulation(poly)
+        stack = list(reversed(initial_triangulation(poly)))
+        events, done = [], []
+        while stack:
+            tri = stack.pop()
+            if tri.twice_area == 1:
+                done.append(tri)
+                continue
+            event = gcd_edge_split(tri) or interior_split(tri)
+            events.append(event)
+            stack.extend(reversed(event.children))
+        assert result.events == tuple(events)
+        assert result.triangles == tuple(done)

@@ -28,6 +28,7 @@ from .core import (
 from .pick import (
     DEFAULT_BOX_LIMIT,
     BoxTooLargeError,
+    _guarded_box,
     boundary_count,
     interior_count_oracle,
     polygon_lattice_points,
@@ -42,6 +43,13 @@ EXIT_INVALID_POLYGON = 3
 EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
+#: triangulate and svg refuse a polygon of doubled area 2A above this
+#: before any work, since its triangulation has exactly 2A triangles.
+#: Both hold every triangle in memory and take 12-16 us and 0.5 KB
+#: (svg 0.75 KB) of peak memory per triangle, so an admitted input
+#: ends within about 8 s and 0.4 GB.
+_MAX_TRIANGLES = 5 * 10**5
+_TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
 
@@ -58,6 +66,10 @@ class PolygonParseError(GeometryError):
         super().__init__(message + position)
         self.line = line
         self.column = column
+
+
+class _TriangleLimitError(GeometryError):
+    """The triangulation would have more than _MAX_TRIANGLES triangles."""
 
 
 @dataclass(frozen=True)
@@ -77,19 +89,20 @@ def _parse_plain(text: str) -> list[LatticePoint]:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
+        tokens = list(_TOKEN.finditer(line))
         if len(tokens) != 2:
             raise PolygonParseError(
                 f"expected two integers per vertex line, got {len(tokens)} tokens",
                 line=lineno)
         coords = []
-        for tok in tokens:
+        for match in tokens:
+            tok, column = match.group(), match.start() + 1
             if not _INT_TOKEN.match(tok):
                 raise PolygonParseError(f"non-integer coordinate {tok!r}",
-                                        line=lineno, column=raw.index(tok) + 1)
+                                        line=lineno, column=column)
             if len(tok.lstrip("+-")) > _MAX_DIGITS:
                 raise PolygonParseError(f"coordinate over {_MAX_DIGITS} digits",
-                                        line=lineno, column=raw.index(tok) + 1)
+                                        line=lineno, column=column)
             coords.append(int(tok))
         vertices.append(LatticePoint(coords[0], coords[1]))
     return vertices
@@ -171,23 +184,40 @@ def _cmd_pick(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _coords(tri: TriangleTuple) -> str:
-    (ax, ay), (bx, by), (cx, cy), _ = tri
-    return f"{ax} {ay} {bx} {by} {cx} {cy}"
+def _guard_triangles(poly: LatticePolygon) -> None:
+    doubled = twice_polygon_area(poly)
+    if doubled > _MAX_TRIANGLES:
+        raise _TriangleLimitError(
+            f"doubled area 2A = {doubled} means {doubled} triangles, over "
+            f"the limit of {_MAX_TRIANGLES}")
 
 
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
+    _guard_triangles(doc.polygon)
     result = primitive_triangulation(doc.polygon)
+    # every point printed is a vertex of a finished triangle, and each
+    # appears in several lines: turn each into text once
+    points = set()
+    for a, b, c, _ in result.triangle_tuples:
+        points.add(a)
+        points.add(b)
+        points.add(c)
+    text = {p: f"{p[0]} {p[1]}" for p in points}
+
+    def coords(tri: TriangleTuple) -> str:
+        a, b, c, _ = tri
+        return f"{text[a]} {text[b]} {text[c]}"
+
     for tri in result.triangle_tuples:
-        out.write(_coords(tri) + "\n")
+        out.write(coords(tri) + "\n")
     if args.events:
-        for num, (parent, rule, (dx, dy), children) in \
+        for num, (parent, rule, d, children) in \
                 enumerate(result.event_tuples, start=1):
-            out.write(f"event {num} {rule.value} point {dx} {dy}\n")
-            out.write(f"  parent {_coords(parent)}\n")
+            out.write(f"event {num} {rule.value} point {text[d]}\n")
+            out.write(f"  parent {coords(parent)}\n")
             for child in children:
-                out.write(f"  child {_coords(child)}\n")
+                out.write(f"  child {coords(child)}\n")
     return EXIT_OK
 
 
@@ -238,7 +268,9 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation,
 
 def _cmd_svg(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
-    # the box guard applies before the unbounded triangulation starts
+    # the box guard, then the triangle guard, before any enumeration
+    _guarded_box(doc.polygon, args.max_box_points)
+    _guard_triangles(doc.polygon)
     interior, boundary = polygon_lattice_points(doc.polygon, args.max_box_points)
     result = primitive_triangulation(doc.polygon)
     text = render_svg(doc.polygon, result, interior, boundary)
@@ -297,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except PolygonError as exc:
         print(f"error: invalid polygon: {exc}", file=sys.stderr)
         return EXIT_INVALID_POLYGON
-    except BoxTooLargeError as exc:
+    except (BoxTooLargeError, _TriangleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InternalInvariantError as exc:

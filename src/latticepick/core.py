@@ -19,6 +19,9 @@ from typing import Sequence
 #: implementations; the arithmetic here is exact regardless.
 COORDINATE_LIMIT = 2**31
 
+#: a lattice point as a plain (x, y) tuple, for the integer kernels
+Point = tuple[int, int]
+
 
 class GeometryError(Exception):
     """Base class for every error raised by this package."""
@@ -166,33 +169,31 @@ def point_on_segment(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
     """Whether p lies on the closed segment ab (endpoints included)."""
     if a == b:
         return p == a
-    return twice_signed_area(a, b, p) == 0 and _in_box(p, a, b)
+    return twice_signed_area(a, b, p) == 0 and \
+        _in_box((p.x, p.y), (a.x, a.y), (b.x, b.y))
 
 
-def _in_box(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+def _in_box(p: Point, a: Point, b: Point) -> bool:
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def _segments_share_point(p1: LatticePoint, p2: LatticePoint,
-                          q1: LatticePoint, q2: LatticePoint) -> bool:
-    """Whether closed segments p1p2 and q1q2 have any point in common."""
-    d1 = twice_signed_area(q1, q2, p1)
-    d2 = twice_signed_area(q1, q2, p2)
-    d3 = twice_signed_area(p1, p2, q1)
-    d4 = twice_signed_area(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
-            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+def _segments_share_point(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """Whether closed segments p1p2 and q1q2, given as (x, y) tuples,
+    have any point in common."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = p1, p2, q1, q2
+    # doubled signed areas of (q1, q2, p1), (q1, q2, p2), (p1, p2, q1)
+    # and (p1, p2, q2)
+    d1 = (dx - cx) * (ay - cy) - (ax - cx) * (dy - cy)
+    d2 = (dx - cx) * (by - cy) - (bx - cx) * (dy - cy)
+    d3 = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+    d4 = (bx - ax) * (dy - ay) - (dx - ax) * (by - ay)
+    if d1 * d2 < 0 and d3 * d4 < 0:
         return True
-    if d1 == 0 and _in_box(p1, q1, q2):
-        return True
-    if d2 == 0 and _in_box(p2, q1, q2):
-        return True
-    if d3 == 0 and _in_box(q1, p1, p2):
-        return True
-    if d4 == 0 and _in_box(q2, p1, p2):
-        return True
-    return False
+    return ((d1 == 0 and _in_box(p1, q1, q2))
+            or (d2 == 0 and _in_box(p2, q1, q2))
+            or (d3 == 0 and _in_box(q1, p1, p2))
+            or (d4 == 0 and _in_box(q2, p1, p2)))
 
 
 def _shoelace(vertices: Sequence[LatticePoint]) -> int:
@@ -236,9 +237,10 @@ class LatticePolygon:
     """A simple lattice polygon stored counterclockwise.
 
     Construction validates everything: vertex count, coordinate bounds,
-    degenerate edges, orientation, and exact boundary simplicity (every
-    non-adjacent edge pair is tested, O(n^2)).  Use validate_polygon to
-    build one from raw vertices of either orientation.
+    degenerate edges, orientation, and exact boundary simplicity (an
+    integer Shamos-Hoey sweep, O(n log n) comparisons, finds whether
+    any two non-adjacent edges touch).  Use validate_polygon to build
+    one from raw vertices of either orientation.
     """
 
     vertices: tuple[LatticePoint, ...]
@@ -262,32 +264,125 @@ def _check_polygon(vs: tuple[LatticePoint, ...]) -> None:
         if abs(v.x) > COORDINATE_LIMIT or abs(v.y) > COORDINATE_LIMIT:
             raise CoordinateRangeError(
                 f"vertex {i} at {v} exceeds |coordinate| <= 2**31", (i,))
+    pts = [(v.x, v.y) for v in vs]
     for i in range(n):
         j = (i + 1) % n
-        if vs[i] == vs[j]:
+        if pts[i] == pts[j]:
             raise RepeatedVertexError(f"vertices {i} and {j} coincide", (i, j))
     # adjacent edges may be collinear but must not fold back onto each other
     for i in range(n):
-        a, b, c = vs[i - 1], vs[i], vs[(i + 1) % n]
-        if twice_signed_area(a, b, c) == 0 and (b - a).dot(c - b) < 0:
+        (ax, ay), (bx, by), (cx, cy) = pts[i - 1], pts[i], pts[(i + 1) % n]
+        if (bx - ax) * (cy - ay) == (cx - ax) * (by - ay) \
+                and (bx - ax) * (cx - bx) + (by - ay) * (cy - by) < 0:
             raise SelfIntersectionError(
                 f"edge {i} folds back onto edge {(i - 1) % n}",
                 ((i - 1) % n, i))
-    # non-adjacent edges must not share any point
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_share_point(vs[i], vs[(i + 1) % n],
-                                     vs[j], vs[(j + 1) % n]):
-                raise SelfIntersectionError(
-                    f"edges {i} and {j} intersect", (i, j))
+    # non-adjacent edges must not share any point; the sweep decides,
+    # and only on a contact does the pairwise scan name the first pair
+    if _sweep_finds_contact(pts):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j == i + 1 or (i == 0 and j == n - 1):
+                    continue
+                if _segments_share_point(pts[i], pts[(i + 1) % n],
+                                         pts[j], pts[(j + 1) % n]):
+                    raise SelfIntersectionError(
+                        f"edges {i} and {j} intersect", (i, j))
+        raise InternalInvariantError(
+            "the sweep found a contact that the pairwise scan did not")
     area2 = _shoelace(vs)
     if area2 == 0:
         raise ZeroAreaError("polygon has zero area")
     if area2 < 0:
         raise PolygonError("vertices must wind counterclockwise; "
                            "use validate_polygon to normalize orientation")
+
+
+def _sweep_finds_contact(pts: list[Point]) -> bool:
+    """Whether two non-adjacent closed edges of the ring share a point,
+    by the Shamos-Hoey sweep (Shamos & Hoey, "Geometric intersection
+    problems", FOCS 1976) in exact integers.
+
+    The ring ``pts`` of (x, y) tuples must have no repeated consecutive
+    vertex and no fold-back, so that ring-adjacent edges meet only at
+    their common vertex.
+
+    Edge i runs from its lexicographically smaller endpoint, where it
+    enters the sweep, to the larger one, where it leaves.  At each
+    point, in (x, y) order, edges enter before edges leave, so edges
+    that only touch there are active together.  The status lists the
+    active edges from bottom to top.  An edge entering at p goes above
+    the edges that pass below p and below those that pass above it;
+    against an edge through p it is ordered by direction, which decides
+    only between edges that both start at p.  An entering edge is
+    tested against its status neighbours, and a leaving edge's two
+    status neighbours against each other.
+
+    Before the first contact point q, no two active non-adjacent edges
+    meet, so the order is exact, and ring-adjacent edges that start at
+    one vertex are ordered by direction.  Once the edges entering at q
+    are in, the active edges through q sit next to each other in the
+    status.  Each of them has at most one ring neighbour among them, so
+    if two of them are not adjacent, two status neighbours among them
+    are not adjacent either, and they were tested when they became
+    status neighbours.
+    """
+    n = len(pts)
+    left: list[Point] = []
+    right: list[Point] = []
+    events = []
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if b < a:
+            a, b = b, a
+        left.append(a)
+        right.append(b)
+        events.append((a, 0, i))
+        events.append((b, 1, i))
+    events.sort()
+
+    def meet(i: int, j: int) -> bool:
+        return (i - j) % n not in (1, n - 1) and _segments_share_point(
+            left[i], right[i], left[j], right[j])
+
+    status: list[int] = []
+    for p, leaving, e in events:
+        px, py = p
+        lo, hi = 0, len(status)
+        if leaving:
+            # the first active edge not strictly below p; e is in the
+            # run of edges through p, at most two when nothing was found
+            while lo < hi:
+                mid = (lo + hi) // 2
+                (ax, ay), (bx, by) = left[status[mid]], right[status[mid]]
+                if (bx - ax) * (py - ay) > (by - ay) * (px - ax):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            k = status.index(e, lo)
+            del status[k]
+            if 0 < k < len(status) and meet(status[k - 1], status[k]):
+                return True
+            continue
+        rx, ry = right[e]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = status[mid]
+            (ax, ay), (bx, by) = left[t], right[t]
+            side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if side == 0:
+                # p lies on t; if t also starts at p, order by direction
+                side = (bx - px) * (ry - py) - (by - py) * (rx - px)
+            if side > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        status.insert(lo, e)
+        if lo > 0 and meet(status[lo - 1], e):
+            return True
+        if lo + 1 < len(status) and meet(e, status[lo + 1]):
+            return True
+    return False
 
 
 def validate_polygon(vertices: Sequence[LatticePoint]) -> LatticePolygon:

@@ -251,7 +251,8 @@ def _chord_edge_conflict(p: LatticePoint, q: LatticePoint,
                          e1: LatticePoint, e2: LatticePoint) -> bool:
     """True if polygon edge e1e2 touches cut segment pq anywhere other
     than a single-point contact at p or q."""
-    if not _segments_share_point(p, q, e1, e2):
+    if not _segments_share_point((p.x, p.y), (q.x, q.y),
+                                 (e1.x, e1.y), (e2.x, e2.y)):
         return False
     if twice_signed_area(p, q, e1) == 0 and twice_signed_area(p, q, e2) == 0:
         # collinear: measure the 1-D overlap along the dominant axis

@@ -29,15 +29,18 @@ log.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .core import (
     DegenerateTriangleError,
     InternalInvariantError,
     LatticePoint,
     LatticePolygon,
+    Point,
     PreconditionError,
     edge_gcd,
     twice_polygon_area,
@@ -53,7 +56,6 @@ class SplitRule(Enum):
     INTERIOR_POINT = "interior-point-split"
 
 
-Point = tuple[int, int]
 #: (a, b, c, twice_area), counterclockwise
 TriangleTuple = tuple[Point, Point, Point, int]
 #: (parent, rule, split point, children)
@@ -163,40 +165,91 @@ class Triangulation:
                      for parent, rule, d, children in self.event_tuples)
 
 
-def _in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,
-                        c: LatticePoint) -> bool:
-    """Whether p lies in the closed counterclockwise triangle abc."""
-    return (twice_signed_area(a, b, p) >= 0
-            and twice_signed_area(b, c, p) >= 0
-            and twice_signed_area(c, a, p) >= 0)
-
-
 def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     """Ear-clip ``poly`` into len(poly) - 2 triangles on its own
     vertices.
 
     An ear is a strictly convex vertex whose closed triangle contains no
     other ring vertex; the first ear in ring order is clipped each pass.
-    For a validated simple polygon an ear always exists.
+    For a validated simple polygon an ear always exists (Meisters,
+    "Polygons have ears", 1975).
+
+    The ring stays a subsequence of the input order, so the first ear
+    is the smallest index found to be one.  A heap holds the vertices
+    whose state is not known, at first all of them.  A clip changes
+    only its two neighbours' triangles, so only they go back on the
+    heap; every vertex found not to be an ear stays so until then.  For
+    a vertex that is not strictly convex that is clear.  A blocked
+    vertex b with neighbours a and c stays blocked because, of the ring
+    vertices in its triangle abc, one farthest from the line ac is not
+    strictly convex (below), so it is no ear, and the triangle never
+    runs empty while abc stands.
+
+    That vertex x is not strictly convex because the open segment bx
+    meets no edge, so it runs inside the polygon, while both edges at x
+    point to the side of x away from b: the inside angle at x holds the
+    direction to b and is at least 180 degrees.  Hence only vertices
+    that are not strictly convex are candidate blockers.  A clip only
+    narrows its neighbours' angles, so a vertex leaves the candidates
+    for good once it is found strictly convex.  The candidates are kept
+    sorted by x, and a triangle tests those in its bounding box.
     """
-    ring = list(poly.vertices)
+    vs = poly.vertices
+    pts = [(v.x, v.y) for v in vs]
+    n = len(pts)
+    prv = [n - 1] + list(range(n - 1))
+    nxt = list(range(1, n)) + [0]
+    candidate = [(bx - ax) * (cy - ay) <= (cx - ax) * (by - ay)
+                 for (ax, ay), (bx, by), (cx, cy)
+                 in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
+    by_x = sorted([(x, y, i) for i, (x, y) in enumerate(pts) if candidate[i]])
+
+    def ear_area(b: int) -> int:
+        """The doubled area of b's triangle if b is an ear, else 0."""
+        a, c = prv[b], nxt[b]
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        if area <= 0:
+            return 0
+        if candidate[b]:
+            candidate[b] = False
+            del by_x[bisect_left(by_x, (bx, by, b))]
+        ymin, ymax = min(ay, by, cy), max(ay, by, cy)
+        for k in range(bisect_left(by_x, (min(ax, bx, cx),)),
+                       bisect_left(by_x, (max(ax, bx, cx) + 1,))):
+            px, py, j = by_x[k]
+            if py < ymin or py > ymax or j == a or j == c:
+                continue
+            if (bx - ax) * (py - ay) >= (px - ax) * (by - ay) \
+                    and (cx - bx) * (py - by) >= (px - bx) * (cy - by) \
+                    and (ax - cx) * (py - cy) >= (px - cx) * (ay - cy):
+                return 0
+        return area
+
+    unknown = list(range(n))  # sorted, so already a heap
+    queued = [True] * n
     out: list[LatticeTriangle] = []
-    while len(ring) > 3:
-        n = len(ring)
-        for i in range(n):
-            prev, cur, nxt = ring[i - 1], ring[i], ring[(i + 1) % n]
-            if twice_signed_area(prev, cur, nxt) <= 0:
-                continue
-            skip = {(i - 1) % n, i, (i + 1) % n}
-            if any(j not in skip and _in_closed_triangle(ring[j], prev, cur, nxt)
-                   for j in range(n)):
-                continue
-            out.append(LatticeTriangle.from_points(prev, cur, nxt))
-            del ring[i]
-            break
-        else:
-            raise InternalInvariantError("no ear found in a simple polygon")
-    out.append(LatticeTriangle.from_points(*ring))
+    b = 0
+    for _ in range(n - 3):
+        while True:
+            if not unknown:
+                raise InternalInvariantError("no ear found in a simple polygon")
+            b = heappop(unknown)
+            queued[b] = False
+            area = ear_area(b)
+            if area:
+                break
+        a, c = prv[b], nxt[b]
+        out.append(LatticeTriangle(vs[a], vs[b], vs[c], area))
+        nxt[a], prv[c] = c, a
+        for v in (a, c):
+            if not queued[v]:
+                queued[v] = True
+                heappush(unknown, v)
+    # the last clipped vertex still points into the remaining triangle
+    c = nxt[b]
+    out.append(LatticeTriangle.from_points(
+        *(vs[i] for i in sorted((c, nxt[c], nxt[nxt[c]])))))
     if sum(t.twice_area for t in out) != twice_polygon_area(poly):
         raise InternalInvariantError("ear clipping lost area")
     return out

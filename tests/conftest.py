@@ -8,7 +8,10 @@ without ever touching floating point.
 
 The lattice-point oracle here classifies every point of the bounding
 box with the per-point ray test, independently of the row scan the
-library counts with.
+library counts with.  The polygon check that tests every pair of
+non-adjacent edges and the ear clipper that rescans the ring on every
+pass are kept here as oracles for the sweep in latticepick.core and
+the indexed ear clipper in latticepick.triangulate.
 """
 
 from __future__ import annotations
@@ -19,17 +22,26 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from latticepick import (
+    COORDINATE_LIMIT,
+    CoordinateRangeError,
     GeometryError,
+    InternalInvariantError,
     LatticePoint,
     LatticePolygon,
     LatticeTriangle,
     PointLocation,
+    PolygonError,
+    RepeatedVertexError,
+    SelfIntersectionError,
+    TooFewVerticesError,
+    ZeroAreaError,
     extended_gcd,
     gcd_edge_split,
+    twice_polygon_area,
     twice_signed_area,
     validate_polygon,
 )
-from latticepick.core import _classify_point, _edge_quads
+from latticepick.core import _classify_point, _edge_quads, _shoelace
 
 
 def box_scan_points(vertices: Sequence[LatticePoint],
@@ -146,3 +158,177 @@ def random_splittable_triangle(rng: random.Random, span: int,
         tri = LatticeTriangle.from_points(a, b, c)
         if tri.twice_area >= min_doubled_area and gcd_edge_split(tri) is None:
             return tri
+
+
+def _in_box(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def _segments_share_point(p1: LatticePoint, p2: LatticePoint,
+                          q1: LatticePoint, q2: LatticePoint) -> bool:
+    """Whether closed segments p1p2 and q1q2 have any point in common."""
+    d1 = twice_signed_area(q1, q2, p1)
+    d2 = twice_signed_area(q1, q2, p2)
+    d3 = twice_signed_area(p1, p2, q1)
+    d4 = twice_signed_area(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
+            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+    if d1 == 0 and _in_box(p1, q1, q2):
+        return True
+    if d2 == 0 and _in_box(p2, q1, q2):
+        return True
+    if d3 == 0 and _in_box(q1, p1, p2):
+        return True
+    if d4 == 0 and _in_box(q2, p1, p2):
+        return True
+    return False
+
+
+def pairwise_simplicity_oracle(vs: Sequence[LatticePoint]) -> None:
+    """Check a counterclockwise ring as LatticePolygon does, testing
+    every pair of non-adjacent edges, O(n^2); raises the same
+    PolygonError, with the same message and indices, as the first
+    failed check."""
+    n = len(vs)
+    if n < 3:
+        raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
+    for i, v in enumerate(vs):
+        if abs(v.x) > COORDINATE_LIMIT or abs(v.y) > COORDINATE_LIMIT:
+            raise CoordinateRangeError(
+                f"vertex {i} at {v} exceeds |coordinate| <= 2**31", (i,))
+    for i in range(n):
+        j = (i + 1) % n
+        if vs[i] == vs[j]:
+            raise RepeatedVertexError(f"vertices {i} and {j} coincide", (i, j))
+    for i in range(n):
+        a, b, c = vs[i - 1], vs[i], vs[(i + 1) % n]
+        if twice_signed_area(a, b, c) == 0 and (b - a).dot(c - b) < 0:
+            raise SelfIntersectionError(
+                f"edge {i} folds back onto edge {(i - 1) % n}",
+                ((i - 1) % n, i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if _segments_share_point(vs[i], vs[(i + 1) % n],
+                                     vs[j], vs[(j + 1) % n]):
+                raise SelfIntersectionError(
+                    f"edges {i} and {j} intersect", (i, j))
+    area2 = _shoelace(vs)
+    if area2 == 0:
+        raise ZeroAreaError("polygon has zero area")
+    if area2 < 0:
+        raise PolygonError("vertices must wind counterclockwise; "
+                           "use validate_polygon to normalize orientation")
+
+
+def _in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,
+                        c: LatticePoint) -> bool:
+    return (twice_signed_area(a, b, p) >= 0
+            and twice_signed_area(b, c, p) >= 0
+            and twice_signed_area(c, a, p) >= 0)
+
+
+def ear_clip_oracle(poly: LatticePolygon) -> list[LatticeTriangle]:
+    """Ear clipping that restarts at the first ring vertex on every
+    pass and tests each candidate ear against the whole ring,
+    O(n^3) at worst; clips the same ears in the same order as
+    initial_triangulation."""
+    ring = list(poly.vertices)
+    out: list[LatticeTriangle] = []
+    while len(ring) > 3:
+        n = len(ring)
+        for i in range(n):
+            prev, cur, nxt = ring[i - 1], ring[i], ring[(i + 1) % n]
+            if twice_signed_area(prev, cur, nxt) <= 0:
+                continue
+            skip = {(i - 1) % n, i, (i + 1) % n}
+            if any(j not in skip and _in_closed_triangle(ring[j], prev, cur, nxt)
+                   for j in range(n)):
+                continue
+            out.append(LatticeTriangle.from_points(prev, cur, nxt))
+            del ring[i]
+            break
+        else:
+            raise InternalInvariantError("no ear found in a simple polygon")
+    out.append(LatticeTriangle.from_points(*ring))
+    if sum(t.twice_area for t in out) != twice_polygon_area(poly):
+        raise InternalInvariantError("ear clipping lost area")
+    return out
+
+
+def cell_ring(cells: set[tuple[int, int]]) -> list[tuple[int, int]] | None:
+    """Counterclockwise boundary of a union of unit cells (x, y) to
+    (x+1, y+1), with a vertex at every lattice point on it, starting at
+    the smallest point; None if the union has a hole or two cells that
+    meet only at a corner, since then its boundary is not simple."""
+    edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    for x, y in cells:
+        corners = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            if (b, a) in edges:
+                edges.remove((b, a))
+            else:
+                edges.add((a, b))
+    step: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in edges:
+        if a in step:
+            return None
+        step[a] = b
+    ring = [min(step)]
+    while step[ring[-1]] != ring[0]:
+        ring.append(step[ring[-1]])
+    return ring if len(ring) == len(step) else None
+
+
+def drop_straight_vertices(ring: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The ring without its vertices of angle 180 degrees."""
+    n = len(ring)
+    return [b for i, b in enumerate(ring)
+            if (b[0] - ring[i - 1][0]) * (ring[(i + 1) % n][1] - b[1])
+            != (b[1] - ring[i - 1][1]) * (ring[(i + 1) % n][0] - b[0])]
+
+
+def random_polyomino(rng: random.Random, size: int) -> set[tuple[int, int]]:
+    """``size`` unit cells grown from (0, 0) by random neighbours."""
+    cells = {(0, 0)}
+    while len(cells) < size:
+        x, y = rng.choice(sorted(cells))
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        cells.add((x + dx, y + dy))
+    return cells
+
+
+def spiral_cells(turns: int) -> set[tuple[int, int]]:
+    """A square spiral path of unit cells whose arms are one cell
+    apart, with 4 * turns straight runs."""
+    cells = {(0, 0)}
+    x = y = 0
+    for k in range(4 * turns):
+        dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+        for _ in range(2 * (k // 2) + 2):
+            x, y = x + dx, y + dy
+            cells.add((x, y))
+    return cells
+
+
+def sawtooth_ring(rng: random.Random, teeth: int) -> list[tuple[int, int]]:
+    """Strip of height 1 with ``teeth`` random saw teeth on top."""
+    top = []
+    for i in range(teeth, 0, -1):
+        top += [(2 * i, 1), (2 * i - 1, 1 + rng.randint(1, 3))]
+    return [(0, 0), (2 * teeth, 0)] + top + [(0, 1)]
+
+
+def comb_ring(rng: random.Random, teeth: int) -> list[tuple[int, int]]:
+    """Rectilinear comb: a base of height 1 and ``teeth`` unit-wide
+    teeth of random height, one unit apart."""
+    ring = [(0, 0), (2 * teeth - 1, 0)]
+    for i in range(teeth - 1, -1, -1):
+        height = 1 + rng.randint(1, 4)
+        ring += [(2 * i + 1, height), (2 * i, height)]
+        if i:
+            ring += [(2 * i, 1), (2 * i - 1, 1)]
+    return ring

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latticepick import LatticePoint, triangulate, verify_pick
+from latticepick import LatticePoint, cli, triangulate, verify_pick
 from latticepick.cli import (
     EXIT_GUARD,
     EXIT_INTERNAL,
@@ -65,6 +65,12 @@ class TestParsePlain:
             parse_polygon("0 0\n1 2.5\n0 1\n")
         assert exc_info.value.line == 2
         assert exc_info.value.column == 3
+        # the column is where the token is, not where its text first
+        # occurs on the line
+        for line in ("-5 -", "+1 +"):
+            with pytest.raises(PolygonParseError) as exc_info:
+                parse_polygon(f"0 0\n{line}\n0 1\n")
+            assert (exc_info.value.line, exc_info.value.column) == (2, 4)
 
     def test_reports_position_in_message(self):
         with pytest.raises(PolygonParseError, match=r"line 2"):
@@ -168,6 +174,49 @@ class TestExitCodes:
         out_file = tmp_path / "p.svg"
         assert main(["svg", str(f), "-o", str(out_file)]) == EXIT_GUARD
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("command,side", [
+        (["triangulate"], 20000),
+        (["triangulate", "--events"], 20000),
+        (["svg", "-o"], 9999),
+    ])
+    def test_triangle_guard_before_any_work(self, command, side, tmp_path,
+                                            monkeypatch, capsys):
+        # the 9999-square passes the box guard (10^8 box points), so
+        # only the triangle guard stops it
+        def unreachable(*args):
+            raise AssertionError("work started past the triangle guard")
+
+        monkeypatch.setattr(cli, "primitive_triangulation", unreachable)
+        monkeypatch.setattr(cli, "polygon_lattice_points", unreachable)
+        f = tmp_path / "p.txt"
+        f.write_text(f"0 0\n{side} 0\n{side} {side}\n0 {side}\n")
+        out_file = tmp_path / "p.svg"
+        argv = command[:1] + [str(f)] + command[1:]
+        if command[0] == "svg":
+            argv.append(str(out_file))
+        assert main(argv) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"2A = {2 * side * side}" in captured.err
+        assert str(cli._MAX_TRIANGLES) in captured.err
+        assert not out_file.exists()
+
+    def test_triangle_guard_admits_the_limit(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setattr(cli, "_MAX_TRIANGLES", 8)
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n2 0\n2 2\n0 2\n")
+        assert main(["triangulate", str(f)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 8
+        f.write_text("0 0\n3 0\n3 3\n0 3\n")
+        assert main(["triangulate", str(f)]) == EXIT_GUARD
+
+    def test_svg_box_guard_runs_first(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n20000 0\n20000 20000\n0 20000\n")
+        assert main(["svg", str(f), "-o", str(tmp_path / "p.svg")]) == EXIT_GUARD
+        assert "bounding box" in capsys.readouterr().err
 
     def test_certificate_failure_is_internal_error(self, tmp_path,
                                                    monkeypatch, capsys):

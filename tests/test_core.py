@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,17 @@ from latticepick import (
     validate_polygon,
 )
 
-from tests.conftest import random_lattice_polygon
+from tests.conftest import (
+    angular_sort,
+    cell_ring,
+    comb_ring,
+    drop_straight_vertices,
+    pairwise_simplicity_oracle,
+    random_lattice_polygon,
+    random_polyomino,
+    sawtooth_ring,
+    spiral_cells,
+)
 
 P = LatticePoint
 
@@ -258,3 +269,136 @@ class TestPointInPolygon:
         xmax = max(v.x for v in poly.vertices)
         probe = P(xmax + 1 + rng.randint(0, 5), rng.randint(-12, 12))
         assert point_in_polygon(probe, poly) is PointLocation.EXTERIOR
+
+
+def verdict(check, vertices):
+    """None if ``check`` accepts the ring, else the error's class,
+    message and indices."""
+    try:
+        check(tuple(vertices))
+    except PolygonError as exc:
+        return type(exc), str(exc), exc.indices
+    return None
+
+
+def rotated(ring):
+    return [(-y, x) for x, y in ring]
+
+
+class TestSimplicitySweep:
+    """The sweep in LatticePolygon against the pairwise oracle: the
+    same verdict, error class, message and indices on every ring, in
+    both orientations."""
+
+    def same(self, ring, both=True):
+        """The verdicts on the ring and, with ``both``, on its reverse;
+        a simple ring has None for its counterclockwise orientation."""
+        found = []
+        for r in (ring, ring[::-1]) if both else (ring,):
+            vs = [P(x, y) for x, y in r]
+            found.append(verdict(LatticePolygon, vs))
+            assert found[-1] == verdict(pairwise_simplicity_oracle, vs), r
+        return found
+
+    def outcome(self, ring):
+        found = self.same(ring)
+        return None if None in found else found[0][0]
+
+    def test_random_rings_in_a_small_box(self):
+        # most such rings touch themselves; the angular sorts add
+        # simple ones with many collinear vertices
+        rng = random.Random(61)
+        outcomes = Counter()
+        for k in range(3000):
+            ring = [(rng.randint(-4, 4), rng.randint(-4, 4))
+                    for _ in range(rng.randint(4, 30))]
+            if k % 3 == 0:
+                ring = angular_sort(list(set(ring)))
+            outcomes[self.outcome(ring)] += 1
+        assert outcomes[None] >= 300
+        assert outcomes[SelfIntersectionError] >= 1000
+
+    def test_perturbed_rectilinear_rings(self):
+        # boundaries of random cell unions, sheared, with one vertex
+        # moved by at most one step: vertices land on edges, edges
+        # overlap, and vertical edges abound
+        rng = random.Random(62)
+        outcomes = Counter()
+        for _ in range(600):
+            ring = cell_ring(random_polyomino(rng, rng.randint(2, 40)))
+            if ring is None:
+                continue
+            if rng.random() < 0.5:
+                ring = drop_straight_vertices(ring)
+            a, b, c, d = rng.choice(((1, 0, 0, 1), (1, 1, 0, 1),
+                                     (2, 1, 1, 1), (0, -1, 1, 0)))
+            ring = [(a * x + b * y, c * x + d * y) for x, y in ring]
+            j = rng.randrange(len(ring))
+            x, y = ring[j]
+            ring[j] = (x + rng.randint(-1, 1), y + rng.randint(-1, 1))
+            outcomes[self.outcome(ring)] += 1
+        assert outcomes[None] >= 100
+        assert outcomes[SelfIntersectionError] >= 100
+
+    @pytest.mark.parametrize("ring,pair", [
+        # two lobes meet at a repeated vertex whose edges leave one
+        # occurrence to the left and the other to the right
+        ([(-2, -1), (0, 0), (-2, 1), (0, 3), (2, 1), (0, 0), (2, -1),
+          (0, -3)], (0, 4)),
+        # pinched figure eight, both lobes on one side each
+        ([(0, 0), (-2, 1), (-2, -1), (0, 0), (2, -1), (2, 1)], (0, 2)),
+        # a vertex on the inside of a foreign edge
+        ([(0, 0), (4, 0), (4, 2), (2, 0), (0, 2)], (0, 2)),
+        # a vertex on a vertical edge
+        ([(0, 0), (2, 0), (2, 4), (1, 4), (1, 3), (2, 3), (2, 1), (0, 1)],
+         (1, 4)),
+        # collinear overlap of non-adjacent edges, horizontal and vertical
+        ([(0, 0), (4, 0), (4, 2), (6, 2), (6, 0), (2, 0), (2, -2), (0, -2)],
+         (0, 4)),
+        ([(0, 0), (0, 4), (-2, 4), (-2, 6), (0, 6), (0, 2), (2, 2), (2, 0)],
+         (0, 4)),
+        # a proper crossing far from every vertex
+        ([(0, 0), (10, 1), (10, 3), (1, -5), (0, 9)], (0, 2)),
+    ])
+    def test_named_contacts(self, ring, pair):
+        vs = [P(x, y) for x, y in ring]
+        with pytest.raises(SelfIntersectionError) as exc_info:
+            pairwise_simplicity_oracle(tuple(vs))
+        assert exc_info.value.indices == pair
+        assert self.outcome(ring) is SelfIntersectionError
+
+    def test_near_misses_are_simple(self):
+        # a vertex 1/sqrt(k^2 + 4) away from a long slanted edge, and
+        # teeth one unit apart
+        k = 201
+        assert self.outcome([(0, 0), (k, 2), (k, 4), (k // 2, 1), (0, 3)]) is None
+        rng = random.Random(63)
+        assert self.outcome(comb_ring(rng, 40)) is None
+        assert self.outcome(rotated(comb_ring(rng, 40))) is None
+
+    @pytest.mark.parametrize("name", ["sawtooth", "comb", "comb90",
+                                      "spiral", "collinear"])
+    def test_large_valid_shapes(self, name):
+        rng = random.Random(64)
+        ring = {
+            "sawtooth": lambda: sawtooth_ring(rng, 300),
+            "comb": lambda: comb_ring(rng, 150),
+            "comb90": lambda: rotated(comb_ring(rng, 150)),
+            "spiral": lambda: cell_ring(spiral_cells(6)),
+            "collinear": lambda: cell_ring({(x, 0) for x in range(300)}),
+        }[name]()
+        assert len(ring) >= 600
+        assert self.same(ring, both=False) == [None]
+        # one vertex pushed towards the next tooth, arm or side
+        j = len(ring) // 2
+        x, y = ring[j]
+        for dx, dy in ((1, 0), (0, -1)):
+            self.same(ring[:j] + [(x + dx, y + dy)] + ring[j + 1:],
+                      both=False)
+
+    def test_sweep_scales(self):
+        # n = 2000: the pairwise scan would test about 2 * 10^6 pairs
+        rng = random.Random(65)
+        for ring in (sawtooth_ring(rng, 1000), comb_ring(rng, 500),
+                     rotated(comb_ring(rng, 500))):
+            validate_polygon([P(x, y) for x, y in ring])

@@ -31,7 +31,17 @@ from latticepick import triangulate
 from latticepick.cli import main
 from latticepick.triangulate import _certify, _refine, _split
 
-from tests.conftest import random_lattice_polygon, random_splittable_triangle
+from tests.conftest import (
+    cell_ring,
+    comb_ring,
+    drop_straight_vertices,
+    ear_clip_oracle,
+    random_lattice_polygon,
+    random_polyomino,
+    random_splittable_triangle,
+    sawtooth_ring,
+    spiral_cells,
+)
 
 P = LatticePoint
 
@@ -84,6 +94,64 @@ class TestInitialTriangulation:
         assert sum(t.twice_area for t in tris) == twice_polygon_area(poly)
         for t in tris:
             assert set(t.vertices) <= set(poly.vertices)
+
+
+class TestEarClipOracle:
+    """initial_triangulation against the ear clipper that rescans the
+    ring on every pass (tests/conftest.py), triangle for triangle."""
+
+    def same(self, ring, start=0):
+        ring = ring[start:] + ring[:start]
+        poly = validate_polygon([P(x, y) for x, y in ring])
+        assert initial_triangulation(poly) == ear_clip_oracle(poly)
+
+    @pytest.mark.parametrize("name", ["sawtooth", "comb", "comb90",
+                                      "spiral", "spiral_corners",
+                                      "collinear", "near_misses"])
+    def test_adversarial_shapes(self, name):
+        rng = random.Random(71)
+        ring = {
+            # n = 2003, x-monotone
+            "sawtooth": lambda: sawtooth_ring(rng, 1000),
+            "comb": lambda: comb_ring(rng, 150),
+            # teeth along y: every triangle's x-range spans the teeth
+            "comb90": lambda: [(-y, x) for x, y in comb_ring(rng, 150)],
+            # n = 1372, every boundary lattice point a vertex
+            "spiral": lambda: cell_ring(spiral_cells(9)),
+            "spiral_corners": lambda: drop_straight_vertices(
+                cell_ring(spiral_cells(14))),
+            # a 1 x 300 rectangle: 598 vertices of angle 180 degrees
+            "collinear": lambda: cell_ring({(x, 0) for x in range(300)}),
+            # reflex vertices a tiny distance from a long slanted edge
+            "near_misses": lambda: [(0, 0), (401, 2), (401, 5)] + [
+                (x, 1 + (x % 2) * 3) for x in range(199, 0, -1)] + [(0, 4)],
+        }[name]()
+        self.same(ring)
+        if len(ring) < 1000:
+            self.same(ring, start=len(ring) // 3)
+
+    def test_random_rectilinear_rings(self):
+        rng = random.Random(72)
+        done = 0
+        while done < 150:
+            ring = cell_ring(random_polyomino(rng, rng.randint(2, 60)))
+            if ring is None:
+                continue
+            if rng.random() < 0.5:
+                ring = drop_straight_vertices(ring)
+            a, b, c, d = rng.choice(((1, 0, 0, 1), (1, 1, 0, 1),
+                                     (2, 1, 1, 1), (0, -1, 1, 0)))
+            ring = [(a * x + b * y, c * x + d * y) for x, y in ring]
+            self.same(ring, start=rng.randrange(len(ring)))
+            done += 1
+
+    def test_random_star_shaped_rings(self):
+        rng = random.Random(73)
+        for _ in range(150):
+            poly = random_lattice_polygon(rng, rng.randint(3, 40),
+                                          rng.choice((3, 6, 20)))
+            ring = [(v.x, v.y) for v in poly.vertices]
+            self.same(ring, start=rng.randrange(len(ring)))
 
 
 class TestGcdEdgeSplit:

@@ -52,6 +52,8 @@ _MAX_TRIANGLES = 5 * 10**5
 _TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
+_SVG_SCALE = 24  # SVG units per lattice step
+_SVG_MARGIN = 1  # lattice steps of blank border around the bounding box
 
 
 class PolygonParseError(GeometryError):
@@ -223,8 +225,7 @@ def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
 
 def render_svg(poly: LatticePolygon, triangulation: Triangulation,
                interior_points: list[LatticePoint],
-               boundary_points: list[LatticePoint],
-               scale: int = 24, margin: int = 1) -> str:
+               boundary_points: list[LatticePoint]) -> str:
     """Render the polygon, its primitive triangulation, and its lattice
     points (boundary filled, interior hollow) as standalone SVG text.
     All emitted coordinates are integers, so output is byte-stable."""
@@ -234,14 +235,14 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation,
     ymin, ymax = min(ys), max(ys)
 
     def sx(x: int) -> int:
-        return (x - xmin + margin) * scale
+        return (x - xmin + _SVG_MARGIN) * _SVG_SCALE
 
     def sy(y: int) -> int:
-        return (ymax - y + margin) * scale
+        return (ymax - y + _SVG_MARGIN) * _SVG_SCALE
 
-    width = (xmax - xmin + 2 * margin) * scale
-    height = (ymax - ymin + 2 * margin) * scale
-    radius = max(2, scale // 6)
+    width = (xmax - xmin + 2 * _SVG_MARGIN) * _SVG_SCALE
+    height = (ymax - ymin + 2 * _SVG_MARGIN) * _SVG_SCALE
+    radius = max(2, _SVG_SCALE // 6)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}">',
@@ -279,6 +280,16 @@ def _cmd_svg(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticepick",
@@ -295,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_guard(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-box-points", type=int, default=DEFAULT_BOX_LIMIT,
+        p.add_argument("--max-box-points", type=_positive_int,
+                       default=DEFAULT_BOX_LIMIT,
                        help="bounding-box size guard for point enumeration")
 
     add("area", "print the doubled and exact rational area", _cmd_area)

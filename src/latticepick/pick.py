@@ -21,17 +21,14 @@ from .core import (
     LatticePoint,
     LatticePolygon,
     PointLocation,
+    PolygonError,
     PreconditionError,
-    _classify_point,
-    _edge_quads,
-    _segments_share_point,
     edge_gcd,
     point_in_polygon,
     point_on_segment,
     segment_lattice_points,
     twice_polygon_area,
     twice_signed_area,
-    validate_polygon,
 )
 
 #: Default ceiling on bounding-box lattice points for the enumeration
@@ -247,42 +244,6 @@ def verify_pick(poly: LatticePolygon,
     return PickCount(interior, boundary, twice_polygon_area(poly))
 
 
-def _chord_edge_conflict(p: LatticePoint, q: LatticePoint,
-                         e1: LatticePoint, e2: LatticePoint) -> bool:
-    """True if polygon edge e1e2 touches cut segment pq anywhere other
-    than a single-point contact at p or q."""
-    if not _segments_share_point((p.x, p.y), (q.x, q.y),
-                                 (e1.x, e1.y), (e2.x, e2.y)):
-        return False
-    if twice_signed_area(p, q, e1) == 0 and twice_signed_area(p, q, e2) == 0:
-        # collinear: measure the 1-D overlap along the dominant axis
-        if abs(q.x - p.x) >= abs(q.y - p.y):
-            c1, c2 = sorted((p.x, q.x))
-            d1, d2 = sorted((e1.x, e2.x))
-            pk, qk = p.x, q.x
-        else:
-            c1, c2 = sorted((p.y, q.y))
-            d1, d2 = sorted((e1.y, e2.y))
-            pk, qk = p.y, q.y
-        lo, hi = max(c1, d1), min(c2, d2)
-        return lo != hi or lo not in (pk, qk)
-    return not (point_on_segment(p, e1, e2) or point_on_segment(q, e1, e2))
-
-
-def _require_chord_inside(poly: LatticePolygon, p: LatticePoint,
-                          q: LatticePoint) -> None:
-    for e1, e2 in poly.edges():
-        if _chord_edge_conflict(p, q, e1, e2):
-            raise InvalidCutError(
-                f"cut segment {p}-{q} touches the boundary away from its endpoints")
-    # no boundary contact besides the endpoints, so the open segment lies
-    # entirely inside or entirely outside; test its midpoint at doubled scale
-    doubled = [(2 * x1, 2 * y1, 2 * x2, 2 * y2)
-               for x1, y1, x2, y2 in _edge_quads(poly.vertices)]
-    if _classify_point(p.x + q.x, p.y + q.y, doubled) is not PointLocation.INTERIOR:
-        raise InvalidCutError(f"cut segment {p}-{q} leaves the polygon")
-
-
 def _ring_with_points(poly: LatticePolygon,
                       extra: tuple[LatticePoint, ...]) -> list[LatticePoint]:
     ring: list[LatticePoint] = []
@@ -308,23 +269,24 @@ def verify_additivity(poly: LatticePolygon, a: LatticePoint, d: LatticePoint,
     The cut segments must stay strictly inside the polygon except at
     their boundary endpoints, otherwise InvalidCutError is raised.  The
     returned witness re-asserts the transfer identities on construction.
+
+    The parts, the boundary arc A->B closed through D and the arc B->A
+    closed through D, are built as LatticePolygons as they come, never
+    reversed.  Their cut edges cancel, so their winding numbers add up
+    to the polygon's; both simple and counterclockwise makes each 0 or
+    1, so the parts tile the polygon and the cut runs inside it.  A cut
+    that touches the boundary, runs along an edge, doubles back on
+    itself or leaves the polygon makes a part non-simple, degenerate or
+    clockwise instead.
     """
     if a == b:
         raise InvalidCutError("cut endpoints A and B must differ")
     for name, pt in (("A", a), ("B", b)):
         if point_in_polygon(pt, poly) is not PointLocation.BOUNDARY:
             raise InvalidCutError(f"cut point {name}={pt} is not on the boundary")
-    chord = d == a
-    if not chord:
-        if point_in_polygon(d, poly) is not PointLocation.INTERIOR:
-            raise InvalidCutError(f"cut point D={d} is not an interior lattice point")
-        if twice_signed_area(a, d, b) == 0 and (a - d).dot(b - d) > 0:
-            raise InvalidCutError("cut segments A-D and B-D overlap each other")
-        segments = ((a, d), (b, d))
-    else:
-        segments = ((a, b),)
-    for p, q in segments:
-        _require_chord_inside(poly, p, q)
+    path = [a, b] if d == a else [a, d, b]
+    if d != a and point_in_polygon(d, poly) is not PointLocation.INTERIOR:
+        raise InvalidCutError(f"cut point D={d} is not an interior lattice point")
 
     ring = _ring_with_points(poly, (a, b))
     ia, ib = ring.index(a), ring.index(b)
@@ -332,22 +294,19 @@ def verify_additivity(poly: LatticePolygon, a: LatticePoint, d: LatticePoint,
     def arc(i: int, j: int) -> list[LatticePoint]:
         return ring[i:j + 1] if i <= j else ring[i:] + ring[:j + 1]
 
-    tail = [] if chord else [d]
     try:
-        part1 = validate_polygon(arc(ia, ib) + tail)
-        part2 = validate_polygon(arc(ib, ia) + tail)
-    except GeometryError as exc:
-        raise InvalidCutError(
-            f"cut does not produce two simple polygons: {exc}") from exc
+        part1 = LatticePolygon(tuple(arc(ia, ib) + path[1:-1]))
+        part2 = LatticePolygon(tuple(arc(ib, ia) + path[1:-1]))
+    except PolygonError as exc:
+        # the cause's indices count the part's vertices, not the polygon's
+        raise InvalidCutError("cut does not split the polygon into two "
+                              "simple counterclockwise parts") from exc
 
     whole = verify_pick(poly, max_box_points)
     first = verify_pick(part1, max_box_points)
     second = verify_pick(part2, max_box_points)
-    if chord:
-        cut_points = set(segment_lattice_points(a, b))
-    else:
-        cut_points = set(segment_lattice_points(a, d))
-        cut_points |= set(segment_lattice_points(b, d))
+    cut_points = {p for s, t in zip(path, path[1:])
+                  for p in segment_lattice_points(s, t)}
     return AdditivityWitness(
         interior=whole.interior, boundary=whole.boundary,
         interior_1=first.interior, boundary_1=first.boundary,

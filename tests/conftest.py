@@ -11,7 +11,9 @@ box with the per-point ray test, independently of the row scan the
 library counts with.  The polygon check that tests every pair of
 non-adjacent edges and the ear clipper that rescans the ring on every
 pass are kept here as oracles for the sweep in latticepick.core and
-the indexed ear clipper in latticepick.triangulate.
+the indexed ear clipper in latticepick.triangulate.  The segment-by-
+segment cut check is kept as the oracle for verify_additivity, which
+decides a cut by validating the two parts it makes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from latticepick import (
     ZeroAreaError,
     extended_gcd,
     gcd_edge_split,
+    point_in_polygon,
+    point_on_segment,
+    polygon_lattice_points,
     twice_polygon_area,
     twice_signed_area,
     validate_polygon,
@@ -222,6 +227,102 @@ def pairwise_simplicity_oracle(vs: Sequence[LatticePoint]) -> None:
     if area2 < 0:
         raise PolygonError("vertices must wind counterclockwise; "
                            "use validate_polygon to normalize orientation")
+
+
+def _chord_edge_conflict(p: LatticePoint, q: LatticePoint,
+                         e1: LatticePoint, e2: LatticePoint) -> bool:
+    """True if polygon edge e1e2 touches cut segment pq anywhere other
+    than a single-point contact at p or q."""
+    if not _segments_share_point(p, q, e1, e2):
+        return False
+    if twice_signed_area(p, q, e1) == 0 and twice_signed_area(p, q, e2) == 0:
+        # collinear: measure the 1-D overlap along the dominant axis
+        if abs(q.x - p.x) >= abs(q.y - p.y):
+            c1, c2 = sorted((p.x, q.x))
+            d1, d2 = sorted((e1.x, e2.x))
+            pk, qk = p.x, q.x
+        else:
+            c1, c2 = sorted((p.y, q.y))
+            d1, d2 = sorted((e1.y, e2.y))
+            pk, qk = p.y, q.y
+        lo, hi = max(c1, d1), min(c2, d2)
+        return lo != hi or lo not in (pk, qk)
+    return not (point_on_segment(p, e1, e2) or point_on_segment(q, e1, e2))
+
+
+def _chord_inside(poly: LatticePolygon, p: LatticePoint,
+                  q: LatticePoint) -> bool:
+    if any(_chord_edge_conflict(p, q, e1, e2) for e1, e2 in poly.edges()):
+        return False
+    # no boundary contact besides the endpoints, so the open segment lies
+    # entirely inside or entirely outside; test its midpoint at doubled scale
+    doubled = [(2 * x1, 2 * y1, 2 * x2, 2 * y2)
+               for x1, y1, x2, y2 in _edge_quads(poly.vertices)]
+    return _classify_point(p.x + q.x, p.y + q.y, doubled) is PointLocation.INTERIOR
+
+
+def cut_inside_oracle(poly: LatticePolygon, a: LatticePoint, d: LatticePoint,
+                      b: LatticePoint) -> bool:
+    """Whether A-D-B (the chord A-B when D equals A) is a cut that
+    verify_additivity accepts, by testing each cut segment against
+    every edge and its midpoint against the polygon: A and B distinct
+    boundary points, D interior, the segments not overlapping, and
+    each segment touching the boundary only at its endpoints and
+    running inside.  O(edges) per segment."""
+    if a == b:
+        return False
+    if point_in_polygon(a, poly) is not PointLocation.BOUNDARY \
+            or point_in_polygon(b, poly) is not PointLocation.BOUNDARY:
+        return False
+    if d == a:
+        return _chord_inside(poly, a, b)
+    if point_in_polygon(d, poly) is not PointLocation.INTERIOR:
+        return False
+    if twice_signed_area(a, d, b) == 0 and (a - d).dot(b - d) > 0:
+        return False
+    return _chord_inside(poly, a, d) and _chord_inside(poly, b, d)
+
+
+def random_cut_polygon(rng: random.Random) -> LatticePolygon:
+    """A small polygon to cut: star-shaped, or a polyomino with or
+    without its straight vertices, mirrored half the time."""
+    if rng.random() < 0.5:
+        return random_lattice_polygon(rng, rng.randint(3, 9), rng.randint(2, 5))
+    while (ring := cell_ring(random_polyomino(rng, rng.randint(1, 12)))) is None:
+        pass
+    if rng.random() < 0.5:
+        ring = drop_straight_vertices(ring)
+    sign = rng.choice((1, -1))
+    return validate_polygon([LatticePoint(sign * x, y) for x, y in ring])
+
+
+def random_cut(rng: random.Random, poly: LatticePolygon,
+               ) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
+    """Cut points (a, d, b) for verify_additivity: a and b boundary
+    lattice points, equal once in 20 draws, and d equal to a (a chord),
+    a lattice point on the line ab, or an interior, boundary or outside
+    point of the polygon's bounding box grown by 1."""
+    interior, boundary = polygon_lattice_points(poly)
+    a, b = rng.sample(boundary, 2)
+    if rng.random() < 0.05:
+        b = a
+    kind = rng.choices(("chord", "line", "interior", "boundary", "box"),
+                       (3, 2, 4, 1, 1))[0]
+    if kind == "line" and a != b:
+        k = math.gcd(b.x - a.x, b.y - a.y)
+        j = rng.randint(-1, k + 1)
+        return a, LatticePoint(a.x + j * (b.x - a.x) // k,
+                               a.y + j * (b.y - a.y) // k), b
+    if kind == "interior" and interior:
+        return a, rng.choice(interior), b
+    if kind == "boundary":
+        return a, rng.choice(boundary), b
+    if kind == "box":
+        xs = [v.x for v in poly.vertices]
+        ys = [v.y for v in poly.vertices]
+        return a, LatticePoint(rng.randint(min(xs) - 1, max(xs) + 1),
+                               rng.randint(min(ys) - 1, max(ys) + 1)), b
+    return a, a, b
 
 
 def _in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,

@@ -137,6 +137,14 @@ class TestExitCodes:
         f.write_text("0 0\n1000 0\n0 1000\n")
         assert main(["count", str(f), "--max-box-points", "100"]) == EXIT_GUARD
 
+    @pytest.mark.parametrize("value,code", [
+        ("-5", EXIT_PARSE), ("0", EXIT_PARSE), ("1", EXIT_GUARD)])
+    def test_guard_must_be_positive(self, value, code, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n1 0\n0 1\n")
+        assert main(["count", str(f), "--max-box-points", value]) == code
+        assert capsys.readouterr().out == ""
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate", "x.txt"]) == EXIT_PARSE
 

@@ -16,7 +16,10 @@ from latticepick import (
     InvalidCutError,
     LatticePoint,
     PickCount,
+    PolygonError,
     PreconditionError,
+    SelfIntersectionError,
+    TooFewVerticesError,
     boundary_count,
     closed_triangle_count,
     interior_count_oracle,
@@ -35,6 +38,9 @@ from latticepick.pick import _lattice_rows
 from tests.conftest import (
     boundary_count_oracle,
     box_scan_points,
+    cut_inside_oracle,
+    random_cut,
+    random_cut_polygon,
     random_lattice_polygon,
     random_triangle_corners,
     random_unimodular_triangle,
@@ -318,6 +324,39 @@ class TestAdditivity:
         with pytest.raises(InvalidCutError):
             verify_additivity(poly, P(1, 1), P(1, 1), P(2, 2))
 
+    @pytest.mark.parametrize("poly,a,d,b,cause", [
+        # touches the boundary at (2, 2) and (4, 2): a contact in the top part
+        (U_SHAPE, P(0, 4), P(3, 1), P(6, 4), SelfIntersectionError),
+        # runs along an edge: a part of two vertices
+        (UNIT_SQUARE, P(0, 0), P(0, 0), P(1, 0), TooFewVerticesError),
+        # A-D contains B-D: a fold-back at D
+        (U_SHAPE, P(0, 3), P(5, 3), P(2, 3), SelfIntersectionError),
+        # crosses the gap between the arms: the gap's part winds clockwise
+        (U_SHAPE, P(2, 4), P(2, 4), P(4, 4), PolygonError),
+    ])
+    def test_bad_cut_fails_as_a_part(self, poly, a, d, b, cause):
+        with pytest.raises(InvalidCutError) as exc:
+            verify_additivity(validate_polygon(poly), a, d, b)
+        assert type(exc.value.__cause__) is cause
+
+    def test_agrees_with_cut_oracle(self):
+        rng = random.Random(7)
+        accepted = total = 0
+        for _ in range(1200):
+            poly = random_cut_polygon(rng)
+            for _ in range(8):
+                a, d, b = random_cut(rng, poly)
+                try:
+                    verify_additivity(poly, a, d, b)
+                    ok = True
+                except InvalidCutError:
+                    ok = False
+                assert ok == cut_inside_oracle(poly, a, d, b), \
+                    (poly.vertices, a, d, b)
+                accepted += ok
+                total += 1
+        assert 0.2 * total < accepted < 0.6 * total
+
     def test_witness_enforces_identities(self):
         with pytest.raises(InternalInvariantError):
             AdditivityWitness(interior=5, boundary=8, interior_1=1,
@@ -337,7 +376,9 @@ class TestAdditivity:
         try:
             w = verify_additivity(poly, a, d, b)
         except InvalidCutError:
+            assert not cut_inside_oracle(poly, a, d, b)
             return
+        assert cut_inside_oracle(poly, a, d, b)
         assert w.interior == interior_count_oracle(poly)
         assert w.boundary == boundary_count(poly)
 
@@ -351,6 +392,8 @@ class TestAdditivity:
         try:
             w = verify_additivity(poly, a, a, b)
         except InvalidCutError:
+            assert not cut_inside_oracle(poly, a, a, b)
             return
+        assert cut_inside_oracle(poly, a, a, b)
         assert w.cut_points >= 2
         assert w.interior == interior_count_oracle(poly)

@@ -9,6 +9,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -248,9 +249,13 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation,
         f'width="{width}" height="{height}">',
         '  <g fill="none" stroke="#999999" stroke-width="1">',
     ]
-    for tri in triangulation.triangle_tuples:
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in tri[:3])
-        lines.append(f'    <polygon points="{pts}"/>')
+    # each lattice point is a vertex of several triangles: scale and
+    # format it once
+    tris = triangulation.triangle_tuples
+    text = {p: f"{sx(p[0])},{sy(p[1])}"
+            for p in {p for a, b, c, _ in tris for p in (a, b, c)}}
+    for a, b, c, _ in tris:
+        lines.append(f'    <polygon points="{text[a]} {text[b]} {text[c]}"/>')
     lines.append("  </g>")
     outline = " ".join(f"{sx(v.x)},{sy(v.y)}" for v in poly.vertices)
     lines.append(f'  <polygon points="{outline}" fill="none" '
@@ -290,7 +295,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: parse_args keeps no
+    # state between calls, and each subcommand looks up its
+    # collaborators as module globals when it runs
     parser = argparse.ArgumentParser(
         prog="latticepick",
         description="Exact lattice-polygon areas, point counts, and "
@@ -327,9 +336,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command line (``sys.argv[1:]`` when argv is None) and
+    return its exit code; output goes to sys.stdout and sys.stderr.
+
+    It may be called any number of times in one process: the argument
+    parser is built on the first call and reused, and no state carries
+    over from one call to the next.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_PARSE

@@ -10,6 +10,7 @@ magnitude.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -240,11 +241,11 @@ class LatticePolygon:
     degenerate edges, orientation, and exact boundary simplicity (an
     integer Shamos-Hoey sweep, O(n log n) comparisons, finds whether
     any two non-adjacent edges touch).  Only when it finds a contact
-    does a pairwise scan, O(n^2), name the first offending edge pair, so
-    rejecting a self-intersecting ring is still quadratic: about 2 s at
-    n = 2004 when the first pair is among the last edges.  Use
-    validate_polygon to build one from raw vertices of either
-    orientation.
+    is each edge i, in order, tested against the later edges whose
+    bounding boxes meet its own, to name the first offending pair in
+    (i, j) order; that is quadratic only when many edges overlap in x
+    before that pair.  Use validate_polygon to build one from raw
+    vertices of either orientation.
     """
 
     vertices: tuple[LatticePoint, ...]
@@ -282,18 +283,14 @@ def _check_polygon(vs: tuple[LatticePoint, ...]) -> None:
                 f"edge {i} folds back onto edge {(i - 1) % n}",
                 ((i - 1) % n, i))
     # non-adjacent edges must not share any point; the sweep decides,
-    # and only on a contact does the pairwise scan name the first pair
+    # and only on a contact are edge pairs tested to name the first one
     if _sweep_finds_contact(pts):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue
-                if _segments_share_point(pts[i], pts[(i + 1) % n],
-                                         pts[j], pts[(j + 1) % n]):
-                    raise SelfIntersectionError(
-                        f"edges {i} and {j} intersect", (i, j))
-        raise InternalInvariantError(
-            "the sweep found a contact that the pairwise scan did not")
+        pair = _first_contact(pts)
+        if pair is None:
+            raise InternalInvariantError(
+                "the sweep found a contact that the pairwise test did not")
+        i, j = pair
+        raise SelfIntersectionError(f"edges {i} and {j} intersect", pair)
     area2 = _shoelace(vs)
     if area2 == 0:
         raise ZeroAreaError("polygon has zero area")
@@ -387,6 +384,53 @@ def _sweep_finds_contact(pts: list[Point]) -> bool:
         if lo + 1 < len(status) and meet(e, status[lo + 1]):
             return True
     return False
+
+
+def _first_contact(pts: list[Point]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, in (i, j) order, of non-adjacent
+    edges of the ring that share a point, or None.
+
+    Edge i is tested only against the edges j > i whose bounding boxes
+    meet its own, in order of i, so the search stops at the first i
+    that has a contact.  They are found through the edges sorted by
+    their left x: those that start no further right than edge i ends
+    are a prefix, and a binary tree over it, holding the rightmost end
+    below each node, yields the ones that end no further left than
+    edge i starts in O(log n) steps each.
+    """
+    n = len(pts)
+    boxes = []
+    for i in range(n):
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
+        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), i))
+    by_x = sorted(boxes)
+    starts = [box[0] for box in by_x]
+    size = 1 << (n - 1).bit_length()
+    reach = [starts[0]] * (2 * size)  # node v's children are 2v and 2v + 1
+    reach[size:size + n] = [box[1] for box in by_x]
+    for v in range(size - 1, 0, -1):
+        reach[v] = max(reach[2 * v], reach[2 * v + 1])
+    for i, (x0, x1, y0, y1, _) in enumerate(boxes):
+        end = bisect_right(starts, x1)
+        first = n
+        stack = [(1, 0, size)]
+        while stack:
+            v, lo, hi = stack.pop()
+            if lo >= end or reach[v] < x0:
+                continue
+            if v < size:
+                mid = (lo + hi) // 2
+                stack += ((2 * v, lo, mid), (2 * v + 1, mid, hi))
+                continue
+            _, _, qy0, qy1, j = by_x[lo]
+            if i + 1 < j < first and not (i == 0 and j == n - 1) \
+                    and qy0 <= y1 and qy1 >= y0 \
+                    and _segments_share_point(pts[i], pts[(i + 1) % n],
+                                              pts[j], pts[(j + 1) % n]):
+                first = j
+        if first < n:
+            return i, first
+    return None
 
 
 def validate_polygon(vertices: Sequence[LatticePoint]) -> LatticePolygon:

@@ -3,6 +3,9 @@ and golden-file comparisons for every subcommand."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from latticepick.cli import (
 
 P = LatticePoint
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 GOLDEN = DATA / "golden"
 
 
@@ -329,6 +333,103 @@ class TestOutputs:
         assert main(["svg", str(f), "-o", str(out_file)]) == EXIT_OK
         assert "." not in out_file.read_text().replace(
             "http://www.w3.org/2000/svg", "")
+
+
+class TestRepeatedCalls:
+    """main() builds its argument parser once per process and reuses
+    it; every call must still give what a fresh process gives."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        # help text wraps to the same width here and in the child
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def child(*args: str) -> subprocess.CompletedProcess:
+        """Run Python with these arguments in a fresh process."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env)
+
+    def fresh(self, argv: list[str]) -> tuple[int, str, str]:
+        proc = self.child("-m", "latticepick.cli", *argv)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def same(self, capsys, *argv: str) -> tuple[int, str, str]:
+        """Run argv in this process and in a fresh one; both must give
+        the same exit code, stdout and stderr."""
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        got = (code, captured.out, captured.err)
+        assert got == self.fresh(list(argv)), argv
+        return got
+
+    def test_events_do_not_carry_over(self, capsys):
+        square = str(DATA / "square_side2.txt")
+        code, out, _ = self.same(capsys, "triangulate", square, "--events")
+        assert code == EXIT_OK and "event 1 " in out
+        code, out, _ = self.same(capsys, "triangulate", square)
+        assert code == EXIT_OK and "event" not in out
+        assert len(out.splitlines()) == 8
+
+    def test_guard_does_not_carry_over(self, capsys):
+        square = str(DATA / "square_side2.txt")
+        code, out, err = self.same(capsys, "count", square,
+                                   "--max-box-points", "1")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "limit of 1" in err
+        assert self.same(capsys, "count", square) == \
+            (EXIT_OK, "interior=1 boundary=8\n", "")
+
+    def test_format_does_not_carry_over(self, capsys):
+        code, out, _ = self.same(capsys, "area",
+                                 str(DATA / "square_structured.json"),
+                                 "--format", "structured")
+        assert code == EXIT_OK and out.startswith("twice_area=")
+        code, out, _ = self.same(capsys, "area", str(DATA / "unit_square.txt"))
+        assert (code, out) == (EXIT_OK, "twice_area=2\narea=1\n")
+
+    @pytest.mark.parametrize("bad", [
+        ["frobnicate"],
+        ["area"],
+        ["count", "p.txt", "--max-box-points", "-5"],
+        ["triangulate", "p.txt", "--format", "xml"],
+    ])
+    def test_bad_command_line_then_good(self, bad, capsys):
+        code, out, err = self.same(capsys, *bad)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("usage: latticepick")
+        assert self.same(capsys, "area", str(DATA / "unit_square.txt"))[0] \
+            == EXIT_OK
+
+    def test_help_is_stable(self, capsys):
+        first = self.same(capsys, "--help")
+        assert first[0] == EXIT_OK and first[1].startswith("usage: latticepick")
+        self.same(capsys, "svg", "--help")
+        assert self.same(capsys, "--help") == first
+
+    def test_parser_built_once(self):
+        # in a fresh process, so that no earlier call has built it
+        script = """
+import argparse, contextlib, io, sys
+from latticepick.cli import main
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(parser, *args, **kwargs):
+    init(parser, *args, **kwargs)
+    built.append(parser.prog)
+argparse.ArgumentParser.__init__ = counting
+square = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["area", square], ["count", square], ["frobnicate"],
+                 ["triangulate", square], ["--help"]):
+        main(argv)
+print(built.count("latticepick"), len(built))
+"""
+        proc = self.child("-c", script, str(DATA / "square_side2.txt"))
+        assert proc.returncode == 0, proc.stderr
+        # the top-level parser once, with its five subcommands
+        assert proc.stdout.split() == ["1", "6"]
 
 
 class TestGoldenCorpus:

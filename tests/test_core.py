@@ -396,6 +396,36 @@ class TestSimplicitySweep:
             self.same(ring[:j] + [(x + dx, y + dy)] + ring[j + 1:],
                       both=False)
 
+    @staticmethod
+    def notched_sawtooth(k):
+        """The ring of ROADMAP known defect 7: a strip with k teeth and
+        one vertex at (-1, 1) whose edge crosses the last edge, so the
+        first pair is (n - 3, n - 1) with n = 2k + 4."""
+        ring = [(0, 0), (2 * k, 0)]
+        ring += [(x, 5 if x % 2 == 0 else 7) for x in range(2 * k, -1, -1)]
+        return ring[:-1] + [(-1, 1)] + ring[-1:]
+
+    def test_late_first_pair(self):
+        ring = self.notched_sawtooth(500)
+        n = len(ring)
+        assert n == 1004
+        assert self.same(ring, both=False) == \
+            [(SelfIntersectionError, f"edges {n - 3} and {n - 1} intersect",
+              (n - 3, n - 1))]
+
+    @pytest.mark.parametrize("j,dx,y,low", [
+        (3, 0, 0, (0, 2)),     # onto the base
+        (41, -3, 6, (40, 42)),  # across the next tooth
+    ])
+    def test_early_and_late_contacts(self, j, dx, y, low):
+        # a tooth tip moved adds a contact at low edge indices; the
+        # late contact of the notch must not hide it
+        ring = self.notched_sawtooth(100)
+        ring[j] = (ring[j][0] + dx, y)
+        assert self.same(ring)[0] == (SelfIntersectionError,
+                                      f"edges {low[0]} and {low[1]} intersect",
+                                      low)
+
     def test_sweep_scales(self):
         # n = 2000: the pairwise scan would test about 2 * 10^6 pairs
         rng = random.Random(65)

@@ -1,31 +1,23 @@
 """Locating the guaranteed lattice point inside a non-minimal triangle.
 
-Place one vertex of a lattice triangle at the origin and call the other
-two A and B, with n the doubled area.  When n > 1 and the edge AB is
-primitive (its coordinate deltas are coprime), the segment joining
+Place one vertex c of a lattice triangle at the origin and call the
+other two A and B, with n the doubled area.  When n > 1 and the edge AB
+is primitive (its coordinate deltas are coprime), the segment joining
 (n-1)/n * A to (n-1)/n * B carries exactly one lattice point.  That
 point lies on or inside the triangle but is never one of its vertices,
 which makes it a splitting point for refinement.
 
-Two independent routes to the point are provided:
-
-* interior_split_point builds it in O(1) from a Bezout identity.  Every
-  lattice point on the carrier line of the shrunk segment has the form
-  (x0 + p*i, y0 + q*i); sliding i until the y coordinate falls in a
-  half-open window of height |q| pins down the unique representative on
-  the segment itself.  The construction lives once, in the private
-  integer routine _split_offset, which the refinement kernel in
-  triangulate calls on plain ints and normalize shares its frame
-  rotation with.
-* split_point_scan walks all n evenly spaced candidate positions on the
-  shrunk segment and keeps the ones with integer coordinates.  It is
-  O(n) and doubles as the uniqueness check.
+The point is built in O(1) from a Bezout identity, once, in the
+private integer routine _split_offset, which the refinement kernel in
+triangulate calls on plain ints; interior_split_point is the same
+construction on three LatticePoints, with its preconditions checked.
+The O(n) scan over all n candidate positions, which also proves the
+point unique, lives with the tests as their oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -36,63 +28,6 @@ from .core import (
     PreconditionError,
     extended_gcd,
 )
-
-
-@dataclass(frozen=True)
-class FrameTransform:
-    """Invertible affine map taking original coordinates to the
-    normalized frame: q = M @ (p - origin).
-
-    M is one of the four quarter-turn rotation matrices (entries in
-    {-1, 0, 1}, determinant +1), composed from the axis-swap and
-    y-flip reflections.  ``swapped`` records whether the two non-pivot
-    vertices traded the A/B roles to fix the orientation sign.
-    """
-
-    origin: LatticePoint
-    m00: int
-    m01: int
-    m10: int
-    m11: int
-    swapped: bool
-
-    def to_normalized(self, p: LatticePoint) -> LatticePoint:
-        dx = p.x - self.origin.x
-        dy = p.y - self.origin.y
-        return LatticePoint(self.m00 * dx + self.m01 * dy,
-                            self.m10 * dx + self.m11 * dy)
-
-    def to_original(self, p: LatticePoint) -> LatticePoint:
-        det = self.m00 * self.m11 - self.m01 * self.m10  # always +-1
-        x = det * (self.m11 * p.x - self.m01 * p.y)
-        y = det * (self.m00 * p.y - self.m10 * p.x)
-        return LatticePoint(x + self.origin.x, y + self.origin.y)
-
-
-@dataclass(frozen=True)
-class NormalizedTriangle:
-    """A triangle moved into the canonical frame for split-point work.
-
-    The pivot vertex sits at the origin, the other two are the offset
-    vectors ``a`` and ``b``, and the invariants are
-
-    * twice_area = a x b > 0  (counterclockwise in the frame), and
-    * a.dy < b.dy             (strict; the frame rotation guarantees it).
-
-    ``transform`` maps original coordinates into this frame and back.
-    """
-
-    a: LatticeVector
-    b: LatticeVector
-    transform: FrameTransform
-    twice_area: int
-
-    def __post_init__(self) -> None:
-        if self.twice_area != self.a.cross(self.b) or self.twice_area <= 0:
-            raise InternalInvariantError("inconsistent normalized triangle area")
-        if self.a.dy >= self.b.dy:
-            raise InternalInvariantError("normalized triangle must have a.dy < b.dy")
-
 
 # Quarter-turn rotation matrices as (m00, m01, m10, m11).
 _IDENTITY = (1, 0, 0, 1)
@@ -118,11 +53,13 @@ def _split_offset(ux: int, uy: int, vx: int, vy: int,
     from its pivot, as an offset from the pivot.
 
     Requires u x v = n > 1 and a primitive u - v; the caller checks.
-    The offsets are turned so that u lies strictly below v (for a
-    normalized triangle the turn is the identity), the point is
-    constructed there, and the inverse turn, the transpose, maps it
-    back.  This is the one copy of the construction; see
-    interior_split_point for the formula.
+    The offsets are turned so that u lies strictly below v, and the
+    inverse turn, the transpose, maps the point back.  In the turned
+    frame, with A = (a, c) and B = (b, d), a Bezout identity gives one
+    lattice solution of the carrier line (a-b)*y - (c-d)*x = n - 1, and
+    one floor division slides it along the line into the window
+    c*(n-1)/n <= y < c*(n-1)/n - (c-d), which the segment's lattice
+    point provably occupies.
     """
     m00, m01, m10, m11 = _rotation(ux, uy, vx, vy)
     ay = m10 * ux + m11 * uy
@@ -137,85 +74,56 @@ def _split_offset(ux: int, uy: int, vx: int, vy: int,
     return m00 * x + m10 * y, m01 * x + m11 * y
 
 
-def normalize(points: Sequence[LatticePoint], pivot: int) -> NormalizedTriangle:
-    """Translate, possibly relabel, and rotate a triangle into the
-    canonical frame.
+def _offsets(a: LatticePoint, b: LatticePoint,
+             c: LatticePoint) -> tuple[LatticeVector, LatticeVector, int]:
+    """Offsets a - c and b - c, exchanged so their cross n is > 0."""
+    u, v = a - c, b - c
+    n = u.cross(v)
+    if n == 0:
+        raise DegenerateTriangleError("triangle vertices are collinear")
+    if n < 0:
+        u, v, n = v, u, -n
+    return u, v, n
 
-    ``pivot`` selects the vertex moved to the origin; the remaining two
-    become A and B in ring order.  A and B are swapped if needed so the
-    doubled area is positive, then one of the four quarter-turn
-    rotations is applied so that A ends up strictly below B.  Raises
-    DegenerateTriangleError for collinear input.
+
+def normalize(points: Sequence[LatticePoint],
+              pivot: int) -> tuple[LatticeVector, LatticeVector]:
+    """The frame offsets (A, B) of a triangle: A x B is its doubled area
+    and A.dy < B.dy.  ``pivot`` selects the vertex moved to the origin;
+    the other two, in ring order and exchanged if the doubled area is
+    negative, are turned by _split_offset's quarter turn.  Raises
+    DegenerateTriangleError for collinear input.  Unused in the package:
+    the per-layer tracer of bench/tracing.py looks it up in triangulate.
     """
     if len(points) != 3:
         raise PreconditionError(f"normalize needs exactly 3 points, got {len(points)}")
     if pivot not in (0, 1, 2):
         raise PreconditionError(f"pivot must be 0, 1, or 2, got {pivot}")
-    c = points[pivot]
-    u = points[(pivot + 1) % 3] - c
-    v = points[(pivot + 2) % 3] - c
-    n = u.cross(v)
-    if n == 0:
-        raise DegenerateTriangleError("triangle vertices are collinear")
-    swapped = n < 0
-    if swapped:
-        u, v, n = v, u, -n
-    m = _rotation(u.dx, u.dy, v.dx, v.dy)
-    a = LatticeVector(m[0] * u.dx + m[1] * u.dy, m[2] * u.dx + m[3] * u.dy)
-    b = LatticeVector(m[0] * v.dx + m[1] * v.dy, m[2] * v.dx + m[3] * v.dy)
-    return NormalizedTriangle(a=a, b=b,
-                              transform=FrameTransform(c, *m, swapped=swapped),
-                              twice_area=n)
+    u, v, _ = _offsets(points[(pivot + 1) % 3], points[(pivot + 2) % 3],
+                       points[pivot])
+    m00, m01, m10, m11 = _rotation(u.dx, u.dy, v.dx, v.dy)
+    a = LatticeVector(m00 * u.dx + m01 * u.dy, m10 * u.dx + m11 * u.dy)
+    b = LatticeVector(m00 * v.dx + m01 * v.dy, m10 * v.dx + m11 * v.dy)
+    if a.dy >= b.dy:
+        raise InternalInvariantError("normalized triangle must have a.dy < b.dy")
+    return a, b
 
 
-def _require_splittable(nt: NormalizedTriangle) -> None:
-    if nt.twice_area <= 1:
+def interior_split_point(a: LatticePoint, b: LatticePoint,
+                         c: LatticePoint) -> LatticePoint:
+    """The unique lattice point on the closed segment from
+    c + (n-1)/n * (a-c) to c + (n-1)/n * (b-c), for the triangle abc of
+    doubled area n with pivot c, in either orientation.  Raises
+    DegenerateTriangleError for collinear input, and PreconditionError
+    when n = 1 or the edge ab is not primitive.
+    """
+    u, v, n = _offsets(a, b, c)
+    if n == 1:
         raise PreconditionError(
             "triangle already has the minimum doubled area 1; nothing to split")
-    if math.gcd(nt.a.dx - nt.b.dx, nt.a.dy - nt.b.dy) != 1:
+    if math.gcd(u.dx - v.dx, u.dy - v.dy) != 1:
         raise PreconditionError(
             "opposite edge is not primitive; split it at one of its own "
             "lattice points instead")
-
-
-def interior_split_point(nt: NormalizedTriangle) -> LatticePoint:
-    """The unique lattice point on the closed segment from
-    (n-1)/n * A to (n-1)/n * B, in normalized-frame coordinates.
-
-    Requires twice_area n > 1 and a primitive edge AB.  Constructed in
-    O(1): a Bezout identity gives one lattice solution of the carrier
-    line equation (a-b)*y - (c-d)*x = n - 1, and a single floor
-    division slides it into the half-open window
-    c*(n-1)/n <= y < c*(n-1)/n - (c-d), which the segment's lattice
-    point provably occupies.
-    """
-    _require_splittable(nt)
-    return LatticePoint(*_split_offset(nt.a.dx, nt.a.dy, nt.b.dx, nt.b.dy,
-                                       nt.twice_area))
-
-
-def split_point_scan(nt: NormalizedTriangle) -> LatticePoint:
-    """Scan all n candidate positions ((n-i)*A + (i-1)*B) / n for
-    i = 1..n and return the single one with integer coordinates.
-
-    Same contract as interior_split_point; O(n).  Finding anything
-    other than exactly one lattice point is impossible for valid input
-    and raises InternalInvariantError.
-    """
-    _require_splittable(nt)
-    n = nt.twice_area
-    ax, ay = nt.a.dx, nt.a.dy
-    bx, by = nt.b.dx, nt.b.dy
-    found = None
-    hits = 0
-    for i in range(1, n + 1):
-        px = (n - i) * ax + (i - 1) * bx
-        py = (n - i) * ay + (i - 1) * by
-        if px % n == 0 and py % n == 0:
-            hits += 1
-            found = LatticePoint(px // n, py // n)
-    if hits != 1 or found is None:
-        raise InternalInvariantError(
-            f"expected exactly one lattice point among the {n} candidate "
-            f"positions, found {hits}")
-    return found
+    dx, dy = _split_offset(u.dx, u.dy, v.dx, v.dy, n)
+    return LatticePoint(c.x + dx, c.y + dy)

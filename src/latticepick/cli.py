@@ -160,7 +160,8 @@ def _load(path: str, fmt: str) -> PolygonDocument:
         except UnicodeDecodeError as exc:
             raise PolygonParseError(
                 f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return parse_polygon(text, fmt, source=path)
+    # one leading byte-order mark, as some editors write, is not content
+    return parse_polygon(text.removeprefix("\ufeff"), fmt, source=path)
 
 
 def _cmd_area(args: argparse.Namespace, out: TextIO) -> int:

@@ -13,7 +13,9 @@ non-adjacent edges and the ear clipper that rescans the ring on every
 pass are kept here as oracles for the sweep in latticepick.core and
 the indexed ear clipper in latticepick.triangulate.  The segment-by-
 segment cut check is kept as the oracle for verify_additivity, which
-decides a cut by validating the two parts it makes.
+decides a cut by validating the two parts it makes.  The scan over all
+candidate split positions is the oracle for the O(1) Bezout
+construction of latticepick.bezout.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Sequence
 from latticepick import (
     COORDINATE_LIMIT,
     CoordinateRangeError,
+    DegenerateTriangleError,
     GeometryError,
     InternalInvariantError,
     LatticePoint,
@@ -33,6 +36,7 @@ from latticepick import (
     LatticeTriangle,
     PointLocation,
     PolygonError,
+    PreconditionError,
     RepeatedVertexError,
     SelfIntersectionError,
     TooFewVerticesError,
@@ -163,6 +167,35 @@ def random_splittable_triangle(rng: random.Random, span: int,
         tri = LatticeTriangle.from_points(a, b, c)
         if tri.twice_area >= min_doubled_area and gcd_edge_split(tri) is None:
             return tri
+
+
+def split_point_scan(a: LatticePoint, b: LatticePoint,
+                     c: LatticePoint) -> LatticePoint:
+    """The lattice point that interior_split_point(a, b, c) constructs,
+    found by scanning.  With A and B the offsets of a and b from the
+    pivot c and n the doubled area, try all n candidate positions
+    c + ((n-i)*A + (i-1)*B) / n for i = 1..n and return the single one
+    with integer coordinates.  O(n).  Same preconditions as the
+    construction; any number of hits other than one raises
+    InternalInvariantError."""
+    ax, ay = a.x - c.x, a.y - c.y
+    bx, by = b.x - c.x, b.y - c.y
+    n = abs(ax * by - bx * ay)
+    if n == 0:
+        raise DegenerateTriangleError("triangle vertices are collinear")
+    if n == 1 or math.gcd(ax - bx, ay - by) != 1:
+        raise PreconditionError("no interior split point to scan for")
+    hits = []
+    for i in range(1, n + 1):
+        px = (n - i) * ax + (i - 1) * bx
+        py = (n - i) * ay + (i - 1) * by
+        if px % n == 0 and py % n == 0:
+            hits.append(LatticePoint(c.x + px // n, c.y + py // n))
+    if len(hits) != 1:
+        raise InternalInvariantError(
+            f"expected exactly one lattice point among the {n} candidate "
+            f"positions, found {len(hits)}")
+    return hits[0]
 
 
 def _in_box(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:

@@ -1,4 +1,4 @@
-"""Tests for triangle normalization and the constructed split point."""
+"""Tests for the frame offsets and the constructed split point."""
 
 from __future__ import annotations
 
@@ -12,19 +12,30 @@ from hypothesis import strategies as st
 from latticepick import (
     DegenerateTriangleError,
     LatticePoint,
-    NormalizedTriangle,
-    PointLocation,
+    LatticeVector,
     PreconditionError,
+    interior_split,
     interior_split_point,
     normalize,
-    split_point_scan,
     twice_signed_area,
 )
 from latticepick.bezout import _split_offset
 
-from tests.conftest import random_triangle_corners
+from tests.conftest import (
+    random_splittable_triangle,
+    random_triangle_corners,
+    split_point_scan,
+)
 
 P = LatticePoint
+V = LatticeVector
+
+# the four quarter turns as (m00, m01, m10, m11)
+QUARTER_TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
+
+
+def turned(m: tuple[int, int, int, int], w: LatticeVector) -> LatticeVector:
+    return V(m[0] * w.dx + m[1] * w.dy, m[2] * w.dx + m[3] * w.dy)
 
 
 def in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,
@@ -34,34 +45,49 @@ def in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,
             and twice_signed_area(c, a, p) >= 0)
 
 
-def normalized_corners(nt: NormalizedTriangle) -> tuple[LatticePoint, ...]:
-    return (P(0, 0), P(nt.a.dx, nt.a.dy), P(nt.b.dx, nt.b.dy))
+def pivot_last(corners, pivot: int):
+    """(a, b, c) in ring order with c the pivot vertex."""
+    return (corners[(pivot + 1) % 3], corners[(pivot + 2) % 3],
+            corners[pivot])
+
+
+def splittable(rng: random.Random, pivot: int):
+    """Random corners with pivot last, doubled area > 1 and a primitive
+    edge opposite the pivot, in either orientation."""
+    while True:
+        corners = random_triangle_corners(rng, rng.choice([4, 10, 40]))
+        a, b, c = pivot_last(corners, pivot)
+        if (abs(twice_signed_area(a, b, c)) > 1
+                and math.gcd(a.x - b.x, a.y - b.y) == 1):
+            return a, b, c
 
 
 class TestNormalize:
     def test_translation_only(self):
-        nt = normalize([P(3, 1), P(2, 3), P(1, 1)], pivot=2)
-        assert (nt.a.dx, nt.a.dy) == (2, 0)
-        assert (nt.b.dx, nt.b.dy) == (1, 2)
-        assert nt.twice_area == 4
+        a, b = normalize([P(3, 1), P(2, 3), P(1, 1)], pivot=2)
+        assert (a, b) == (V(2, 0), V(1, 2))
+        assert a.cross(b) == 4
 
     def test_already_normalized_is_identity(self):
-        nt = normalize([P(2, 0), P(1, 2), P(0, 0)], pivot=2)
-        assert nt.transform.origin == P(0, 0)
-        assert (nt.transform.m00, nt.transform.m01,
-                nt.transform.m10, nt.transform.m11) == (1, 0, 0, 1)
-        assert not nt.transform.swapped
+        assert normalize([P(2, 0), P(1, 2), P(0, 0)], pivot=2) == \
+            (V(2, 0), V(1, 2))
 
     def test_negative_orientation_fixed_by_swap(self):
         # same triangle with the non-pivot vertices exchanged
-        nt = normalize([P(1, 2), P(2, 0), P(0, 0)], pivot=2)
-        assert nt.twice_area == 4
-        assert nt.transform.swapped
-        assert nt.a.dy < nt.b.dy
+        swapped = normalize([P(1, 2), P(2, 0), P(0, 0)], pivot=2)
+        assert swapped == normalize([P(2, 0), P(1, 2), P(0, 0)], pivot=2)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangleError):
             normalize([P(0, 0), P(1, 1), P(3, 3)], pivot=0)
+
+    @pytest.mark.parametrize("points,pivot", [
+        ([P(0, 0), P(1, 0)], 0),
+        ([P(0, 0), P(1, 0), P(0, 1)], 3),
+    ])
+    def test_bad_arguments_rejected(self, points, pivot):
+        with pytest.raises(PreconditionError):
+            normalize(points, pivot=pivot)
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            pivot=st.integers(min_value=0, max_value=2))
@@ -69,74 +95,72 @@ class TestNormalize:
     def test_invariants_and_round_trip(self, seed, pivot):
         rng = random.Random(seed)
         corners = random_triangle_corners(rng, 50)
-        nt = normalize(corners, pivot=pivot)
-        assert nt.twice_area == nt.a.cross(nt.b) > 0
-        assert nt.a.dy < nt.b.dy
-        back = [nt.transform.to_original(q) for q in normalized_corners(nt)]
-        assert back[0] == corners[pivot]
-        assert set(back) == set(corners)
-
-    @given(seed=st.integers(min_value=0, max_value=10**6),
-           pivot=st.integers(min_value=0, max_value=2))
-    @settings(max_examples=200, deadline=None)
-    def test_transform_is_inverse_pair(self, seed, pivot):
-        rng = random.Random(seed)
-        corners = random_triangle_corners(rng, 50)
-        nt = normalize(corners, pivot=pivot)
-        probe = P(rng.randint(-99, 99), rng.randint(-99, 99))
-        tf = nt.transform
-        assert tf.to_original(tf.to_normalized(probe)) == probe
-        assert tf.to_normalized(tf.to_original(probe)) == probe
+        a, b = normalize(corners, pivot=pivot)
+        assert a.cross(b) == abs(twice_signed_area(*corners))
+        assert a.dy < b.dy
+        # the frame offsets are the pivot's own offsets, turned by one
+        # quarter turn: some turn maps them back
+        u, v, c = pivot_last(corners, pivot)
+        offsets = {u - c, v - c}
+        assert any({turned(m, a), turned(m, b)} == offsets
+                   for m in QUARTER_TURNS)
 
 
 class TestSplitPoint:
     def test_example_steep_triangle(self):
-        corners = [P(1, 2), P(-1, 1), P(0, 0)]
-        nt = normalize(corners, pivot=2)
-        d = interior_split_point(nt)
-        assert d == split_point_scan(nt)
-        assert nt.transform.to_original(d) == P(0, 1)
+        corners = (P(1, 2), P(-1, 1), P(0, 0))
+        assert interior_split_point(*corners) == P(0, 1)
+        assert split_point_scan(*corners) == P(0, 1)
 
     def test_example_point_on_edge(self):
-        nt = normalize([P(2, 0), P(1, 1), P(0, 0)], pivot=2)
-        d = interior_split_point(nt)
-        assert d == P(1, 0)
-        assert d == split_point_scan(nt)
+        corners = (P(2, 0), P(1, 1), P(0, 0))
+        assert interior_split_point(*corners) == P(1, 0)
+        assert split_point_scan(*corners) == P(1, 0)
+
+    def test_original_coordinates(self):
+        # the same triangle moved and turned half way round
+        corners = (P(8, 5), P(9, 4), P(10, 5))
+        assert interior_split_point(*corners) == P(9, 5)
+        assert split_point_scan(*corners) == P(9, 5)
 
     def test_primitive_triangle_rejected(self):
-        nt = normalize([P(1, 0), P(0, 1), P(0, 0)], pivot=2)
+        corners = (P(1, 0), P(0, 1), P(0, 0))
+        with pytest.raises(PreconditionError, match="minimum doubled area 1"):
+            interior_split_point(*corners)
         with pytest.raises(PreconditionError):
-            interior_split_point(nt)
-        with pytest.raises(PreconditionError):
-            split_point_scan(nt)
+            split_point_scan(*corners)
 
     def test_non_primitive_opposite_edge_rejected(self):
         # edge from (2,0) to (0,2) has gcd 2
-        nt = normalize([P(2, 0), P(0, 2), P(0, 0)], pivot=2)
-        with pytest.raises(PreconditionError):
-            interior_split_point(nt)
+        with pytest.raises(PreconditionError, match="not primitive"):
+            interior_split_point(P(2, 0), P(0, 2), P(0, 0))
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegenerateTriangleError):
+            interior_split_point(P(0, 0), P(1, 1), P(3, 3))
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            pivot=st.integers(min_value=0, max_value=2))
     @settings(max_examples=400, deadline=None)
     def test_matches_scan_oracle(self, seed, pivot):
-        rng = random.Random(seed)
-        nt = self._splittable(rng, pivot)
-        assert interior_split_point(nt) == split_point_scan(nt)
+        a, b, c = splittable(random.Random(seed), pivot)
+        d = interior_split_point(a, b, c)
+        assert d == split_point_scan(a, b, c)
+        assert d == interior_split_point(b, a, c)
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            pivot=st.integers(min_value=0, max_value=2))
     @settings(max_examples=400, deadline=None)
     def test_membership_properties(self, seed, pivot):
-        rng = random.Random(seed)
-        nt = self._splittable(rng, pivot)
-        d = interior_split_point(nt)
-        p = nt.a.dx - nt.b.dx
-        q = nt.a.dy - nt.b.dy
-        assert p * d.y - q * d.x == nt.twice_area - 1
-        o, a, b = normalized_corners(nt)
-        assert d not in (o, a, b)
-        assert in_closed_triangle(d, o, a, b)
+        a, b, c = splittable(random.Random(seed), pivot)
+        if twice_signed_area(a, b, c) < 0:
+            a, b = b, a
+        d = interior_split_point(a, b, c)
+        # d lies on the carrier line (A - B) x D = n - 1, offsets from c
+        u, v, w = a - c, b - c, d - c
+        assert V(u.dx - v.dx, u.dy - v.dy).cross(w) == u.cross(v) - 1
+        assert d not in (a, b, c)
+        assert in_closed_triangle(d, a, b, c)
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=300, deadline=None)
@@ -144,26 +168,17 @@ class TestSplitPoint:
         # the refinement kernel calls _split_offset on raw offsets, so
         # every quarter turn is exercised, not only the identity
         rng = random.Random(seed)
-        while True:
-            a, b, c = random_triangle_corners(rng, rng.choice([4, 10, 40]))
-            if twice_signed_area(a, b, c) < 0:
-                a, b = b, a
-            n = twice_signed_area(a, b, c)
-            if n > 1 and math.gcd(a.x - b.x, a.y - b.y) == 1:
-                break
-        nt = normalize([a, b, c], pivot=2)
-        d = nt.transform.to_original(split_point_scan(nt))
+        a, b, c = splittable(rng, 2)
+        if twice_signed_area(a, b, c) < 0:
+            a, b = b, a
+        n = twice_signed_area(a, b, c)
+        d = split_point_scan(a, b, c)
         assert _split_offset(a.x - c.x, a.y - c.y, b.x - c.x, b.y - c.y,
                              n) == (d.x - c.x, d.y - c.y)
 
-    @staticmethod
-    def _splittable(rng: random.Random,
-                    pivot: int) -> NormalizedTriangle:
-        import math
-        while True:
-            corners = random_triangle_corners(rng, rng.choice([4, 10, 40]))
-            nt = normalize(corners, pivot=pivot)
-            p = abs(nt.a.dx - nt.b.dx)
-            q = abs(nt.a.dy - nt.b.dy)
-            if nt.twice_area > 1 and math.gcd(p, q) == 1:
-                return nt
+    def test_kernel_splits_at_the_public_point(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            tri = random_splittable_triangle(rng, rng.choice([4, 9, 25]))
+            assert interior_split(tri).point == \
+                interior_split_point(*tri.vertices)

@@ -126,6 +126,48 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["area", "/nonexistent/poly.txt"]) == EXIT_IO
 
+    def test_svg_into_missing_directory(self, tmp_path, capsys):
+        out_file = tmp_path / "no_such_dir" / "p.svg"
+        assert main(["svg", str(DATA / "unit_square.txt"),
+                     "-o", str(out_file)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out_file.parent.exists()
+
+    @pytest.mark.parametrize("command", [["area"], ["svg", "-o"]])
+    def test_directory_as_file(self, command, tmp_path, capsys):
+        out_file = tmp_path / "p.svg"
+        argv = command[:1] + [str(tmp_path)] + command[1:]
+        if command[0] == "svg":
+            argv.append(str(out_file))
+        assert main(argv) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["unit_square.txt",
+                                      "square_structured.json"])
+    @pytest.mark.parametrize("command", ["area", "count", "triangulate"])
+    def test_byte_order_mark_is_skipped(self, name, command, tmp_path,
+                                        capsys):
+        f = tmp_path / name
+        f.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        with_bom = main([command, str(f)]), capsys.readouterr()
+        without = main([command, str(DATA / name)]), capsys.readouterr()
+        assert with_bom[0] == without[0] == EXIT_OK
+        assert with_bom[1].out == without[1].out
+        assert with_bom[1].err == without[1].err == ""
+
+    def test_byte_order_mark_keeps_byte_offsets(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + MALFORMED["non_utf8.txt"])
+        assert main(["area", str(f)]) == EXIT_PARSE
+        # the bad byte is counted from the file's first byte, BOM included
+        bad = 3 + MALFORMED["non_utf8.txt"].index(b"\xff")
+        assert f"at byte {bad}" in capsys.readouterr().err
+
     def test_parse_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("0 0\nbad line here\n")

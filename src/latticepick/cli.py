@@ -23,13 +23,15 @@ from .core import (
     LatticePoint,
     LatticePolygon,
     PolygonError,
+    segment_lattice_points,
     twice_polygon_area,
     validate_polygon,
 )
-from .pick import (
+# polygon_lattice_points is not called here, but the per-layer tracer
+# of bench/tracing.py looks it up in this module
+from .pick import (  # noqa: F401
     DEFAULT_BOX_LIMIT,
     BoxTooLargeError,
-    _guarded_box,
     boundary_count,
     interior_count_oracle,
     polygon_lattice_points,
@@ -46,9 +48,10 @@ EXIT_INTERNAL = 5
 
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work, since its triangulation has exactly 2A triangles.
-#: Both hold every triangle in memory and take 12-16 us and 0.5 KB
-#: (svg 0.75 KB) of peak memory per triangle, so an admitted input
-#: ends within about 8 s and 0.4 GB.
+#: Both hold every triangle in memory; at 2A = 180 000 each triangle
+#: took 9-13 us and 0.5 KB (--events 0.6 KB, svg 0.7 KB) of peak RSS
+#: (CPython 3.11, 2-core x86-64), so an admitted input ends within
+#: about 7 s and 0.4 GB.
 _MAX_TRIANGLES = 5 * 10**5
 _TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
@@ -225,12 +228,12 @@ def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def render_svg(poly: LatticePolygon, triangulation: Triangulation,
-               interior_points: list[LatticePoint],
-               boundary_points: list[LatticePoint]) -> str:
+def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     """Render the polygon, its primitive triangulation, and its lattice
-    points (boundary filled, interior hollow) as standalone SVG text.
-    All emitted coordinates are integers, so output is byte-stable."""
+    points (boundary filled, interior hollow, by y then x) as standalone
+    SVG text.  The points are the triangles' vertices: the triangles
+    tile the polygon and hold no other lattice point.  All emitted
+    coordinates are integers, so output is byte-stable."""
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]
     xmin, xmax = min(xs), max(xs)
@@ -250,37 +253,35 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation,
         f'width="{width}" height="{height}">',
         '  <g fill="none" stroke="#999999" stroke-width="1">',
     ]
-    # each lattice point is a vertex of several triangles: scale and
-    # format it once
+    # scale and format each point once: it is a vertex of many triangles
     tris = triangulation.triangle_tuples
-    text = {p: f"{sx(p[0])},{sy(p[1])}"
-            for p in {p for a, b, c, _ in tris for p in (a, b, c)}}
+    points = sorted({p for a, b, c, _ in tris for p in (a, b, c)},
+                    key=lambda p: (p[1], p[0]))
+    text = {p: f"{sx(p[0])},{sy(p[1])}" for p in points}
     for a, b, c, _ in tris:
         lines.append(f'    <polygon points="{text[a]} {text[b]} {text[c]}"/>')
     lines.append("  </g>")
     outline = " ".join(f"{sx(v.x)},{sy(v.y)}" for v in poly.vertices)
     lines.append(f'  <polygon points="{outline}" fill="none" '
                  f'stroke="#000000" stroke-width="2"/>')
-    lines.append('  <g fill="#000000">')
-    for p in boundary_points:
-        lines.append(f'    <circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="{radius}"/>')
-    lines.append("  </g>")
-    lines.append('  <g fill="#ffffff" stroke="#000000" stroke-width="1">')
-    for p in interior_points:
-        lines.append(f'    <circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="{radius}"/>')
-    lines.append("  </g>")
+    on_edge = {(q.x, q.y) for a, b in poly.edges()
+               for q in segment_lattice_points(a, b)}
+    for style, boundary in (('fill="#000000"', True), (
+            'fill="#ffffff" stroke="#000000" stroke-width="1"', False)):
+        lines.append(f"  <g {style}>")
+        lines += [f'    <circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}"/>'
+                  for x, y in points if ((x, y) in on_edge) == boundary]
+        lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_svg(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
-    # the box guard, then the triangle guard, before any enumeration
-    _guarded_box(doc.polygon, args.max_box_points)
+    # the only guard: it bounds the i + u <= 2A + 2 points drawn too
     _guard_triangles(doc.polygon)
-    interior, boundary = polygon_lattice_points(doc.polygon, args.max_box_points)
     result = primitive_triangulation(doc.polygon)
-    text = render_svg(doc.polygon, result, interior, boundary)
+    text = render_svg(doc.polygon, result)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return EXIT_OK
@@ -332,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     svg = add("svg", "render polygon, triangulation, and lattice points",
               _cmd_svg)
     svg.add_argument("-o", "--output", required=True, help="output SVG file")
-    add_guard(svg)
     return parser
 
 

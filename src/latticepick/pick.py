@@ -35,7 +35,8 @@ from .core import (
 #: oracles; boxes beyond it raise BoxTooLargeError instead of scanning.
 DEFAULT_BOX_LIMIT = 10**8
 
-_Row = tuple[int, list[tuple[int, int]], list[int]]
+_Span = tuple[int, int]
+_Row = tuple[int, list[_Span], list[int], Sequence[_Span]]
 
 
 class BoxTooLargeError(GeometryError):
@@ -107,11 +108,28 @@ def _guarded_box(poly: LatticePolygon, max_box_points: int) -> None:
             f"of {max_box_points}")
 
 
+def _merged(spans: list[_Span]) -> list[_Span]:
+    """The closed x-spans ``spans`` in increasing order, with spans that
+    overlap or touch joined into one."""
+    merged: list[_Span] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def _lattice_rows(vertices: Sequence[LatticePoint]) -> Iterator[_Row]:
     """Scan the closed ring ``vertices`` (either orientation) row by row,
-    yielding ``(y, spans, boundary)`` for each y from the lowest vertex to
-    the highest: the disjoint closed x-spans of the closed polygon, in
-    increasing order, and the sorted x's of its boundary points.
+    yielding ``(y, spans, points, runs)`` for each y from the lowest
+    vertex to the highest: the disjoint closed x-spans of the closed
+    polygon, in increasing order, and the row's boundary points.  A row
+    holding no vertex lists them in ``points``, as sorted x's, and
+    ``runs`` is empty; a row holding a vertex gives them all in
+    ``runs``, as disjoint closed x-spans in increasing order, and
+    ``points`` is empty.  So a horizontal edge costs one run, never one
+    entry per point.
 
     Parity follows the half-open vertex rule of the per-point ray test:
     an edge crosses row y iff (y1 > y) != (y2 > y).  A crossing x is
@@ -121,7 +139,7 @@ def _lattice_rows(vertices: Sequence[LatticePoint]) -> Iterator[_Row]:
     lattice point, so no fractions are compared.
     """
     slanted = []  # (ylo, yhi, dx, dy > 0, offset): x = (offset + y*dx) / dy
-    on_row: dict[int, list[tuple[int, int]]] = {}  # vertices, flat edges
+    on_row: dict[int, list[_Span]] = {}  # vertices, flat edges
     for p, q in zip(vertices, [*vertices[1:], vertices[0]]):
         on_row.setdefault(p.y, []).append((p.x, p.x))
         if p.y == q.y:
@@ -143,27 +161,25 @@ def _lattice_rows(vertices: Sequence[LatticePoint]) -> Iterator[_Row]:
             lo, hi = (keys[j] + 1) // 2, keys[j + 1] // 2
             if lo <= hi:
                 spans.append((lo, hi))
-        boundary = [k // 2 for k in keys if k % 2 == 0]
+        points = [k // 2 for k in keys if k % 2 == 0]
         if y in on_row:
             # Vertices and flat edges may lie outside the parity spans,
             # and edges meeting at a vertex cross the row at one point.
-            merged: list[tuple[int, int]] = []
-            for lo, hi in sorted(spans + on_row[y]):
-                if merged and lo <= merged[-1][1] + 1:
-                    merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-                else:
-                    merged.append((lo, hi))
-            spans = merged
-            boundary = sorted(set(boundary).union(
-                *(range(lo, hi + 1) for lo, hi in on_row[y])))
-        yield y, spans, boundary
+            flat = on_row[y]
+            yield (y, _merged(spans + flat), [],
+                   _merged([(x, x) for x in points] + flat))
+        else:
+            yield y, spans, points, ()
 
 
 def _lattice_counts(rows: Iterator[_Row]) -> tuple[int, int]:
     interior = boundary = 0
-    for _, spans, on_boundary in rows:
-        interior += sum(hi - lo + 1 for lo, hi in spans) - len(on_boundary)
-        boundary += len(on_boundary)
+    for _, spans, points, runs in rows:
+        on_boundary = len(points)
+        if runs:
+            on_boundary += sum(hi - lo + 1 for lo, hi in runs)
+        interior += sum(hi - lo + 1 for lo, hi in spans) - on_boundary
+        boundary += on_boundary
     return interior, boundary
 
 
@@ -186,7 +202,9 @@ def polygon_lattice_points(poly: LatticePolygon,
     _guarded_box(poly, max_box_points)
     interior: list[LatticePoint] = []
     boundary: list[LatticePoint] = []
-    for y, spans, on_boundary in _lattice_rows(poly.vertices):
+    for y, spans, points, runs in _lattice_rows(poly.vertices):
+        # one of points and runs is empty, so this is in order
+        on_boundary = points + [x for lo, hi in runs for x in range(lo, hi + 1)]
         skip = set(on_boundary)
         interior += [LatticePoint(x, y) for lo, hi in spans
                      for x in range(lo, hi + 1) if x not in skip]
@@ -208,7 +226,7 @@ def closed_triangle_count(a: LatticePoint, b: LatticePoint, c: LatticePoint,
     running count exceeds it (the result is then only known to be
     > stop_above)."""
     total = 0
-    for _, spans, _ in _triangle_rows(a, b, c):
+    for _, spans, _, _ in _triangle_rows(a, b, c):
         total += sum(hi - lo + 1 for lo, hi in spans)
         if stop_above is not None and total > stop_above:
             return total

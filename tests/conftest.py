@@ -22,8 +22,12 @@ from __future__ import annotations
 
 import math
 import random
+import time
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
+
+import pytest
 
 from latticepick import (
     COORDINATE_LIMIT,
@@ -40,12 +44,14 @@ from latticepick import (
     RepeatedVertexError,
     SelfIntersectionError,
     TooFewVerticesError,
+    Triangulation,
     ZeroAreaError,
     extended_gcd,
     gcd_edge_split,
     point_in_polygon,
     point_on_segment,
     polygon_lattice_points,
+    primitive_triangulation,
     twice_polygon_area,
     twice_signed_area,
     validate_polygon,
@@ -119,6 +125,33 @@ def random_lattice_polygon(rng: random.Random, n_points: int,
             return validate_polygon([LatticePoint(x, y) for x, y in ordered])
         except GeometryError:
             continue
+
+
+CORPUS_SEED = 20260814
+CORPUS_SIZE = 500
+CORPUS_SPANS = (3, 3, 4, 4, 6, 6, 9, 9, 14, 20)
+
+
+@dataclass(frozen=True)
+class TriangulatedCorpus:
+    polygons: tuple[LatticePolygon, ...]
+    results: tuple[Triangulation, ...]
+    triangulate_seconds: float
+
+
+@pytest.fixture(scope="session")
+def triangulated_corpus() -> TriangulatedCorpus:
+    """500 random polygons (<= 12 vertices, coordinates in [-20, 20])
+    and their primitive triangulations, shared by acceptance criteria
+    2, 5 and 6 and the SVG point check."""
+    rng = random.Random(CORPUS_SEED)
+    polygons = tuple(
+        random_lattice_polygon(rng, rng.randint(3, 12), rng.choice(CORPUS_SPANS))
+        for _ in range(CORPUS_SIZE))
+    start = time.perf_counter()
+    results = tuple(primitive_triangulation(poly) for poly in polygons)
+    elapsed = time.perf_counter() - start
+    return TriangulatedCorpus(polygons, results, elapsed)
 
 
 def random_triangle_corners(rng: random.Random, span: int

@@ -11,22 +11,16 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-
-import pytest
 
 from latticepick import (
     LatticePoint,
-    LatticePolygon,
-    Triangulation,
     boundary_count,
     closed_triangle_count,
     extended_gcd,
     interior_count_oracle,
     interior_split_point,
     pick_twice_area,
-    primitive_triangulation,
     triangle_lattice_counts,
     twice_polygon_area,
     twice_signed_area,
@@ -34,6 +28,9 @@ from latticepick import (
 from latticepick.cli import main
 
 from tests.conftest import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    CORPUS_SPANS,
     random_lattice_polygon,
     random_triangle_corners,
     random_unimodular_triangle,
@@ -43,10 +40,6 @@ from tests.conftest import (
 P = LatticePoint
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
-
-CORPUS_SEED = 20260814
-CORPUS_SIZE = 500
-CORPUS_SPANS = (3, 3, 4, 4, 6, 6, 9, 9, 14, 20)
 
 
 @contextmanager
@@ -60,27 +53,6 @@ def criterion(capsys, number: int, title: str):
         raise
     with capsys.disabled():
         print(f"criterion {number} PASS: {title}", flush=True)
-
-
-@dataclass(frozen=True)
-class TriangulatedCorpus:
-    polygons: tuple[LatticePolygon, ...]
-    results: tuple[Triangulation, ...]
-    triangulate_seconds: float
-
-
-@pytest.fixture(scope="module")
-def triangulated_corpus() -> TriangulatedCorpus:
-    """500 random polygons (<= 12 vertices, coordinates in [-20, 20])
-    and their primitive triangulations, shared by criteria 2, 5, 6."""
-    rng = random.Random(CORPUS_SEED)
-    polygons = tuple(
-        random_lattice_polygon(rng, rng.randint(3, 12), rng.choice(CORPUS_SPANS))
-        for _ in range(CORPUS_SIZE))
-    start = time.perf_counter()
-    results = tuple(primitive_triangulation(poly) for poly in polygons)
-    elapsed = time.perf_counter() - start
-    return TriangulatedCorpus(polygons, results, elapsed)
 
 
 def test_criterion_1_pick_identity_at_scale(capsys):

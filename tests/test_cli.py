@@ -4,13 +4,20 @@ and golden-file comparisons for every subcommand."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from latticepick import LatticePoint, cli, triangulate, verify_pick
+from latticepick import (
+    LatticePoint,
+    cli,
+    polygon_lattice_points,
+    triangulate,
+    verify_pick,
+)
 from latticepick.cli import (
     EXIT_GUARD,
     EXIT_INTERNAL,
@@ -21,6 +28,7 @@ from latticepick.cli import (
     PolygonParseError,
     main,
     parse_polygon,
+    render_svg,
 )
 
 P = LatticePoint
@@ -236,13 +244,12 @@ class TestExitCodes:
     ])
     def test_triangle_guard_before_any_work(self, command, side, tmp_path,
                                             monkeypatch, capsys):
-        # the 9999-square passes the box guard (10^8 box points), so
-        # only the triangle guard stops it
+        # each square is over the triangle guard, which runs before any
+        # work; for svg it is the only guard
         def unreachable(*args):
             raise AssertionError("work started past the triangle guard")
 
         monkeypatch.setattr(cli, "primitive_triangulation", unreachable)
-        monkeypatch.setattr(cli, "polygon_lattice_points", unreachable)
         f = tmp_path / "p.txt"
         f.write_text(f"0 0\n{side} 0\n{side} {side}\n0 {side}\n")
         out_file = tmp_path / "p.svg"
@@ -266,11 +273,22 @@ class TestExitCodes:
         f.write_text("0 0\n3 0\n3 3\n0 3\n")
         assert main(["triangulate", str(f)]) == EXIT_GUARD
 
-    def test_svg_box_guard_runs_first(self, tmp_path, capsys):
+    def test_svg_has_no_box_guard(self, tmp_path, capsys):
+        # 2A = 1, so one triangle, in a box of about 10^10 points
         f = tmp_path / "p.txt"
-        f.write_text("0 0\n20000 0\n20000 20000\n0 20000\n")
-        assert main(["svg", str(f), "-o", str(tmp_path / "p.svg")]) == EXIT_GUARD
-        assert "bounding box" in capsys.readouterr().err
+        f.write_text("0 0\n1 1\n100000 100001\n")
+        out_file = tmp_path / "p.svg"
+        assert main(["svg", str(f), "-o", str(out_file)]) == EXIT_OK
+        assert out_file.read_text().count("<circle") == 3
+
+    def test_svg_refuses_box_option(self, tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n2 0\n2 2\n0 2\n")
+        out_file = tmp_path / "p.svg"
+        assert main(["svg", str(f), "-o", str(out_file),
+                     "--max-box-points", "5"]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+        assert not out_file.exists()
 
     def test_certificate_failure_is_internal_error(self, tmp_path,
                                                    monkeypatch, capsys):
@@ -358,6 +376,21 @@ class TestOutputs:
         assert text.count("<polygon") == 9
         # 8 boundary markers (filled) + 1 interior marker (hollow)
         assert text.count("<circle") == 9
+
+    def test_svg_points_match_row_scan(self, triangulated_corpus):
+        # the circles, boundary group then interior group, in file
+        # order, are the row scan's lists in SVG coordinates
+        for poly, result in zip(triangulated_corpus.polygons,
+                                triangulated_corpus.results):
+            xmin = min(v.x for v in poly.vertices)
+            ymax = max(v.y for v in poly.vertices)
+            interior, boundary = polygon_lattice_points(poly)
+            filled, hollow = render_svg(poly, result).split('<g fill="#ffffff"')
+            for drawn, expected in ((filled, boundary), (hollow, interior)):
+                assert re.findall(r'<circle cx="(\d+)" cy="(\d+)"', drawn) == [
+                    (str((p.x - xmin + cli._SVG_MARGIN) * cli._SVG_SCALE),
+                     str((ymax - p.y + cli._SVG_MARGIN) * cli._SVG_SCALE))
+                    for p in expected]
 
     def test_svg_deterministic(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

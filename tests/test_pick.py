@@ -4,6 +4,7 @@ two-part additivity check."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,33 @@ class TestInteriorOracle:
     def test_guard_is_configurable(self):
         poly = validate_polygon([P(0, 0), P(30, 0), P(0, 30)])
         assert interior_count_oracle(poly, max_box_points=10**4) == 406
+
+
+class TestFlatEdges:
+    def test_flat_edge_is_counted_not_expanded(self):
+        # a row scan that listed each point of the 10^6-long flat edges
+        # peaked above 100 MB here
+        w = 10**6
+        rect = validate_polygon([P(0, 0), P(w, 0), P(w, 1), P(0, 1)])
+        tracemalloc.start()
+        try:
+            assert interior_count_oracle(rect) == 0
+            assert triangle_lattice_counts(P(0, 0), P(w, 0), P(w, 1)) == \
+                (0, w + 2)
+            assert closed_triangle_count(P(0, 0), P(w, 0), P(w, 1)) == w + 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes, limit 1 MiB"
+
+    def test_runs_on_vertex_rows_only(self):
+        assert list(_lattice_rows([P(0, 0), P(4, 0), P(2, 4)])) == [
+            (0, [(0, 4)], [], [(0, 4)]),
+            (1, [(1, 3)], [], ()),
+            (2, [(1, 3)], [1, 3], ()),
+            (3, [(2, 2)], [], ()),
+            (4, [(2, 2)], [], [(2, 2)]),
+        ]
 
 
 class TestTriangleCounters:

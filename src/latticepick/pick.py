@@ -1,17 +1,19 @@
 """Lattice-point counting and the area identity twice_area = 2i + u - 2.
 
-The fast routes are boundary_count (a gcd sum over edges) and the
-shoelace area.  The slow route enumerates lattice points with one exact
-row scan over the edges, _lattice_rows, in O(rows * edges) integer
-work; interior_count_oracle, polygon_lattice_points and the triangle
-counters wrap it.  verify_pick and verify_additivity pit the routes
-against each other and fail loudly on any disagreement, which is the
-whole point of keeping both.
+boundary_count is a gcd sum over the edges.  interior_count_oracle and
+the triangle counters count interior points edge by edge with one
+Euclid-like floor sum per non-vertical edge, in O(n log C) integer
+work for n edges and coordinates up to C, never touching the area.
+polygon_lattice_points lists the points themselves with one exact row
+scan, _lattice_rows, in O(rows * edges).  verify_pick and
+verify_additivity pit the counts against the shoelace area and fail
+loudly on any disagreement, which is the whole point of keeping both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Sequence
 
 from .core import (
@@ -31,8 +33,9 @@ from .core import (
     twice_signed_area,
 )
 
-#: Default ceiling on bounding-box lattice points for the enumeration
-#: oracles; boxes beyond it raise BoxTooLargeError instead of scanning.
+#: Default ceiling on bounding-box lattice points for interior_count_oracle
+#: and polygon_lattice_points; boxes beyond it raise BoxTooLargeError
+#: before any work starts.
 DEFAULT_BOX_LIMIT = 10**8
 
 _Span = tuple[int, int]
@@ -172,33 +175,88 @@ def _lattice_rows(vertices: Sequence[LatticePoint]) -> Iterator[_Row]:
             yield y, spans, points, ()
 
 
-def _lattice_counts(rows: Iterator[_Row]) -> tuple[int, int]:
-    interior = boundary = 0
-    for _, spans, points, runs in rows:
-        on_boundary = len(points)
-        if runs:
-            on_boundary += sum(hi - lo + 1 for lo, hi in runs)
-        interior += sum(hi - lo + 1 for lo, hi in spans) - on_boundary
-        boundary += on_boundary
-    return interior, boundary
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of (a*t + b) // m over t in [0, n), for n >= 0 and m >= 1,
+    in O(log m) steps of Euclid's algorithm on (m, a).  Each step peels
+    off the whole quotients of a and b, then swaps the roles of the
+    two axes under the line (a*t + b) / m: Graham, Knuth & Patashnik,
+    Concrete Mathematics, section 3.5, in the form of floor_sum in the
+    AtCoder Library (atcoder/math.hpp)."""
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _interior_count(ring: Sequence[LatticePoint]) -> int:
+    """Interior lattice points of the counterclockwise ring ``ring``.
+
+    Nudge every lattice point p to p + (eps, delta) with
+    0 < eps << delta << 1.  The nudged points miss every vertex and
+    edge, and a nudged interior point stays inside.  T counts the
+    lattice points whose nudge lands inside, column by column: on the
+    line x + eps, the edges with x in [x_left, x_right) cross at f(x) +
+    eps * slope, the inside runs from each edge running right up to the
+    next one running left, and a run from f to g holds ceil(g) - ceil(f)
+    nudged points.  So T is the sum of ceil(f(x)) over the columns of
+    the edges running left, minus that over the edges running right,
+    one _floor_sum each.  B counts the boundary points whose nudge lands
+    inside: (eps, 1) lies left of a direction (dx, dy) iff dx > 0, or
+    dx == 0 and dy < 0; an edge's relative interior counts iff it lies
+    left of the edge, and a vertex counts iff it lies inside the corner,
+    that is left of both edges at a convex vertex and of either at a
+    reflex or straight one.  The interior count is T - B.
+
+    Each edge's sum also has a closed form (Concrete Mathematics,
+    equation 3.32), but summed over the edges it turns back into the
+    shoelace sum plus gcd terms; the Euclid-like route keeps this count
+    independent of the area verify_pick checks it against.
+    """
+    pts = [(v.x, v.y) for v in ring]
+    (px, py), (qx, qy) = pts[-1], pts[0]
+    in_x, in_y = qx - px, qy - py
+    in_left = in_x > 0 or (in_x == 0 and in_y < 0)
+    count = 0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        left = dx > 0 or (dx == 0 and dy < 0)
+        if in_x * dy - in_y * dx > 0:
+            count -= left and in_left
+        else:
+            count -= left or in_left
+        if dx > 0:
+            count -= (y0 * dx + _floor_sum(dx, dx, dy, dx - 1)
+                      + gcd(dx, dy) - 1)
+        elif dx < 0:
+            count += y1 * -dx + _floor_sum(-dx, -dx, -dy, -dx - 1)
+        elif dy < 0:
+            count += dy + 1
+        in_x, in_y, in_left = dx, dy, left
+    return count
 
 
 def interior_count_oracle(poly: LatticePolygon,
                           max_box_points: int = DEFAULT_BOX_LIMIT) -> int:
-    """Count interior lattice points by enumeration: an exact row scan
-    over the edges, independent of the shoelace area and of the gcd
-    boundary sum.  The guard rejects bounding boxes over
-    ``max_box_points`` before any work starts."""
+    """Count interior lattice points exactly, by one floor sum per
+    non-vertical edge (_interior_count), in O(n log C), independent of
+    the shoelace area and of the gcd boundary sum.  The guard rejects
+    bounding boxes over ``max_box_points`` before any work starts."""
     _guarded_box(poly, max_box_points)
-    return _lattice_counts(_lattice_rows(poly.vertices))[0]
+    return _interior_count(poly.vertices)
 
 
 def polygon_lattice_points(poly: LatticePolygon,
                            max_box_points: int = DEFAULT_BOX_LIMIT,
                            ) -> tuple[list[LatticePoint], list[LatticePoint]]:
     """All (interior, boundary) lattice points of the polygon in
-    row-major order (by y, then x), by the same row scan and guard as
-    interior_count_oracle."""
+    row-major order (by y, then x), by the row scan _lattice_rows, with
+    the same guard as interior_count_oracle."""
     _guarded_box(poly, max_box_points)
     interior: list[LatticePoint] = []
     boundary: list[LatticePoint] = []
@@ -212,32 +270,25 @@ def polygon_lattice_points(poly: LatticePolygon,
     return interior, boundary
 
 
-def _triangle_rows(a: LatticePoint, b: LatticePoint, c: LatticePoint,
-                   ) -> Iterator[_Row]:
-    if twice_signed_area(a, b, c) == 0:
+def triangle_lattice_counts(a: LatticePoint, b: LatticePoint, c: LatticePoint,
+                            ) -> tuple[int, int]:
+    """(interior, boundary) lattice-point counts of triangle abc, in
+    either orientation, by floor sums and edge gcds in O(log C)."""
+    area = twice_signed_area(a, b, c)
+    if area == 0:
         raise DegenerateTriangleError(f"collinear vertices {a}, {b}, {c}")
-    return _lattice_rows((a, b, c))
+    ring = (a, b, c) if area > 0 else (a, c, b)
+    return (_interior_count(ring),
+            edge_gcd(a, b) + edge_gcd(b, c) + edge_gcd(c, a))
 
 
 def closed_triangle_count(a: LatticePoint, b: LatticePoint, c: LatticePoint,
                           stop_above: int | None = None) -> int:
-    """Number of lattice points in the closed triangle abc, by the row
-    scan.  With ``stop_above`` set, the scan returns as soon as the
-    running count exceeds it (the result is then only known to be
-    > stop_above)."""
-    total = 0
-    for _, spans, _, _ in _triangle_rows(a, b, c):
-        total += sum(hi - lo + 1 for lo, hi in spans)
-        if stop_above is not None and total > stop_above:
-            return total
-    return total
-
-
-def triangle_lattice_counts(a: LatticePoint, b: LatticePoint, c: LatticePoint,
-                            ) -> tuple[int, int]:
-    """(interior, boundary) lattice-point counts of triangle abc, in
-    either orientation, by the row scan."""
-    return _lattice_counts(_triangle_rows(a, b, c))
+    """Number of lattice points in the closed triangle abc, in O(log C).
+    With ``stop_above`` set, the result is only promised to be
+    > stop_above when the count is; the count returned is exact
+    either way."""
+    return sum(triangle_lattice_counts(a, b, c))
 
 
 def pick_twice_area(interior: int, boundary: int) -> int:
@@ -250,10 +301,10 @@ def pick_twice_area(interior: int, boundary: int) -> int:
 
 def verify_pick(poly: LatticePolygon,
                 max_box_points: int = DEFAULT_BOX_LIMIT) -> PickCount:
-    """Count interior points by enumeration and boundary points by gcd
-    sum, and check the result against the shoelace area.  The returned
-    PickCount re-asserts the identity on construction; disagreement is
-    unreachable unless there is a bug."""
+    """Count interior points by floor sums and boundary points by gcd
+    sum, and check the result against the shoelace area, which neither
+    count uses.  The returned PickCount re-asserts the identity on
+    construction; disagreement is unreachable unless there is a bug."""
     interior = interior_count_oracle(poly, max_box_points)
     boundary = boundary_count(poly)
     if boundary < len(poly.vertices):

@@ -6,9 +6,10 @@ integer comparator, then retrying until the result passes validation.
 That keeps every generated case inside the library's own preconditions
 without ever touching floating point.
 
-The lattice-point oracle here classifies every point of the bounding
-box with the per-point ray test, independently of the row scan the
-library counts with.  The polygon check that tests every pair of
+The lattice-point oracles here classify every point of the bounding
+box with the per-point ray test, or sum the row scan that
+polygon_lattice_points enumerates with; the library counts with floor
+sums, independently of both.  The polygon check that tests every pair of
 non-adjacent edges and the ear clipper that rescans the ring on every
 pass are kept here as oracles for the sweep in latticepick.core and
 the indexed ear clipper in latticepick.triangulate.  The segment-by-
@@ -57,6 +58,7 @@ from latticepick import (
     validate_polygon,
 )
 from latticepick.core import _classify_point, _edge_quads, _shoelace
+from latticepick.pick import _lattice_rows
 
 
 def box_scan_points(vertices: Sequence[LatticePoint],
@@ -77,6 +79,30 @@ def box_scan_points(vertices: Sequence[LatticePoint],
             elif loc is PointLocation.BOUNDARY:
                 boundary.append(LatticePoint(x, y))
     return interior, boundary
+
+
+def row_scan_counts(vertices: Sequence[LatticePoint]) -> tuple[int, int]:
+    """(interior, boundary) lattice-point counts of the closed ring
+    ``vertices``, in either orientation, summed row by row from the
+    scan behind polygon_lattice_points: the oracle for the floor-sum
+    counters.  O(rows * edges)."""
+    interior = boundary = 0
+    for _, spans, points, runs in _lattice_rows(vertices):
+        on_boundary = len(points)
+        if runs:
+            on_boundary += sum(hi - lo + 1 for lo, hi in runs)
+        interior += sum(hi - lo + 1 for lo, hi in spans) - on_boundary
+        boundary += on_boundary
+    return interior, boundary
+
+
+def row_scan_triangle_counts(a: LatticePoint, b: LatticePoint,
+                             c: LatticePoint) -> tuple[int, int]:
+    """row_scan_counts of triangle abc; collinear corners raise
+    DegenerateTriangleError, as in triangle_lattice_counts."""
+    if twice_signed_area(a, b, c) == 0:
+        raise DegenerateTriangleError(f"collinear vertices {a}, {b}, {c}")
+    return row_scan_counts((a, b, c))
 
 
 def boundary_count_oracle(poly: LatticePolygon) -> int:

@@ -4,6 +4,7 @@ two-part additivity check."""
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from latticepick import (
     AdditivityWitness,
     BoxTooLargeError,
+    DegenerateTriangleError,
     InternalInvariantError,
     InvalidCutError,
     LatticePoint,
@@ -35,16 +37,23 @@ from latticepick import (
     verify_pick,
 )
 
-from latticepick.pick import _lattice_rows
+from latticepick.pick import _floor_sum, _lattice_rows
 from tests.conftest import (
     boundary_count_oracle,
     box_scan_points,
+    cell_ring,
+    comb_ring,
     cut_inside_oracle,
     random_cut,
     random_cut_polygon,
     random_lattice_polygon,
+    random_polyomino,
     random_triangle_corners,
     random_unimodular_triangle,
+    row_scan_counts,
+    row_scan_triangle_counts,
+    sawtooth_ring,
+    spiral_cells,
 )
 
 P = LatticePoint
@@ -97,6 +106,33 @@ class TestInteriorOracle:
         poly = validate_polygon([P(0, 0), P(30, 0), P(0, 30)])
         assert interior_count_oracle(poly, max_box_points=10**4) == 406
 
+    def test_tall_sawtooth_counts_fast(self):
+        # 98 003 vertices in a box of 9.81e7 points, under the default
+        # guard: the row scan took 45 s here, rows times edges
+        t, h = 49_000, 1000
+        ring = [P(0, 0), P(2 * t, 0)]
+        for i in range(t, 0, -1):
+            ring += [P(2 * i, 1), P(2 * i - 1, h)]
+        poly = validate_polygon(ring + [P(0, 1)])
+        start = time.perf_counter()
+        interior = interior_count_oracle(poly)
+        elapsed = time.perf_counter() - start
+        assert interior == 48_951_000
+        assert twice_polygon_area(poly) == \
+            2 * interior + boundary_count(poly) - 2
+        assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
+
+    def test_quadrilateral_spanning_the_coordinate_box(self):
+        side = 2**31
+        poly = validate_polygon([P(-side, -side + 3), P(side - 5, -side),
+                                 P(side, side - 7), P(-side + 11, side)])
+        with pytest.raises(BoxTooLargeError):
+            interior_count_oracle(poly)
+        # no oracle reaches this size: PickCount checks the identity
+        # against the shoelace area on construction
+        counts = verify_pick(poly, max_box_points=(2 * side + 1) ** 2)
+        assert counts.twice_area == twice_polygon_area(poly)
+
 
 class TestFlatEdges:
     def test_flat_edge_is_counted_not_expanded(self):
@@ -147,6 +183,29 @@ class TestTriangleCounters:
         assert closed_triangle_count(P(0, 0), P(1, 0), P(0, 1),
                                      stop_above=3) == 3
 
+    @pytest.mark.parametrize("corners,counts", [
+        ((P(0, 0), P(1, 0), P(0, 10**6)), (0, 10**6 + 2)),
+        ((P(0, 0), P(1, 0), P(0, 2**31)), (0, 2**31 + 2)),
+        ((P(0, 0), P(1, 1), P(2**30, 2**30 + 1)), (0, 3)),
+        ((P(-2**31, -2**31), P(2**31, 2**31 - 1), P(1 - 2**31, 1 - 2**31)),
+         (0, 3)),
+    ])
+    def test_tall_slivers_count_fast(self, corners, counts):
+        # the row scan took 2 s at height 10^6 and would take an hour
+        # at 2^31; floor sums take microseconds
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            assert triangle_lattice_counts(*corners) == counts
+            assert closed_triangle_count(*corners) == sum(counts)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01, f"took {best * 1e3:.1f}ms, limit 10ms"
+
+    def test_collinear_corners_rejected(self):
+        for count in (triangle_lattice_counts, closed_triangle_count):
+            with pytest.raises(DegenerateTriangleError):
+                count(P(0, 0), P(2, 1), P(4, 2))
+
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=150, deadline=None)
     def test_matches_bounding_box_scan(self, seed):
@@ -155,6 +214,7 @@ class TestTriangleCounters:
         interior, boundary = box_scan_points([a, b, c])
         expected = (len(interior), len(boundary))
         assert triangle_lattice_counts(a, b, c) == expected
+        assert row_scan_triangle_counts(a, b, c) == expected
         assert closed_triangle_count(a, b, c) == sum(expected)
 
 
@@ -198,13 +258,41 @@ def sliver_ring(rng: random.Random) -> list[LatticePoint]:
     return [a, b, P(b.x + c.x - a.x, b.y + c.y - a.y), c]
 
 
+def _points(ring: list[tuple[int, int]]) -> list[LatticePoint]:
+    return [P(x, y) for x, y in ring]
+
+
+def polyomino_ring(rng: random.Random) -> list[LatticePoint]:
+    """The boundary of a random polyomino, with a vertex at every
+    lattice point on it, straight vertices included."""
+    while (ring := cell_ring(random_polyomino(rng, rng.randint(1, 12)))) is None:
+        pass
+    return _points(ring)
+
+
 RINGS = {
     "random": lambda rng: list(
         random_lattice_polygon(rng, rng.randint(3, 10), 9).vertices),
     "histogram": histogram_ring,
     "collinear_runs": collinear_runs_ring,
     "sliver": sliver_ring,
+    "comb": lambda rng: _points(comb_ring(rng, rng.randint(1, 5))),
+    "sawtooth": lambda rng: _points(sawtooth_ring(rng, rng.randint(1, 5))),
+    "spiral": lambda rng: _points(cell_ring(spiral_cells(rng.randint(1, 2)))),
+    "polyomino": polyomino_ring,
 }
+
+# the 8 symmetries of the square lattice and one unimodular shear, as
+# (a, b, c, d) for (x, y) -> (a*x + b*y, c*x + d*y)
+FRAMES = ([(sx, 0, 0, sy) for sx in (1, -1) for sy in (1, -1)]
+          + [(0, sx, sy, 0) for sx in (1, -1) for sy in (1, -1)]
+          + [(1, 2, 0, 1)])
+
+
+def in_frame(ring: list[LatticePoint], frame: tuple[int, int, int, int],
+             ) -> list[LatticePoint]:
+    a, b, c, d = frame
+    return [P(a * p.x + b * p.y, c * p.x + d * p.y) for p in ring]
 
 
 class TestRowScan:
@@ -234,6 +322,47 @@ class TestRowScan:
             counts = (len(expected[0]), len(expected[1]))
             assert triangle_lattice_counts(*ring) == counts
             assert closed_triangle_count(*ring) == sum(counts)
+
+
+class TestFloorSums:
+    """The floor-sum counters against the row scan and the per-point
+    box scan, on every ring family, in every lattice frame."""
+
+    @given(n=st.integers(min_value=0, max_value=40),
+           m=st.integers(min_value=1, max_value=40),
+           a=st.integers(min_value=-10**3, max_value=10**3),
+           b=st.integers(min_value=-10**3, max_value=10**3))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_sum_matches_direct_sum(self, n, m, a, b):
+        assert _floor_sum(n, m, a, b) == sum((a * t + b) // m for t in range(n))
+
+    @pytest.mark.parametrize("shape", sorted(RINGS))
+    def test_matches_scans_in_every_frame(self, shape):
+        rng = random.Random(shape)
+        for _ in range(20):
+            ring = RINGS[shape](rng)
+            for frame in FRAMES:
+                moved = in_frame(ring, frame)
+                poly = validate_polygon(moved)
+                interior, boundary = box_scan_points(poly.vertices)
+                counts = (len(interior), len(boundary))
+                assert row_scan_counts(moved) == counts
+                assert (interior_count_oracle(poly),
+                        boundary_count(poly)) == counts
+                if len(moved) == 3:
+                    assert triangle_lattice_counts(*moved) == counts
+                    assert row_scan_triangle_counts(*moved) == counts
+
+    @pytest.mark.parametrize("ring", [
+        comb_ring(random.Random(1), 150),
+        sawtooth_ring(random.Random(2), 150),
+        cell_ring(spiral_cells(8)),
+    ], ids=["comb", "sawtooth", "spiral"])
+    def test_matches_row_scan_on_large_rings(self, ring):
+        for frame in FRAMES:
+            poly = validate_polygon(in_frame(_points(ring), frame))
+            assert (interior_count_oracle(poly), boundary_count(poly)) == \
+                row_scan_counts(poly.vertices)
 
 
 class TestPickIdentity:

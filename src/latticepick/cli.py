@@ -91,7 +91,10 @@ class PolygonDocument:
 
 def _parse_plain(text: str) -> list[LatticePoint]:
     vertices = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # break lines only where open() does; str.splitlines also breaks at
+    # form feeds, U+2028 and the like, inside comments too
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

@@ -4,17 +4,18 @@ boundary_count is a gcd sum over the edges.  interior_count_oracle and
 the triangle counters count interior points edge by edge with one
 Euclid-like floor sum per non-vertical edge, in O(n log C) integer
 work for n edges and coordinates up to C, never touching the area.
-polygon_lattice_points lists the points themselves with one exact row
-scan, _lattice_rows, in O(rows * edges).  verify_pick and
-verify_additivity pit the counts against the shoelace area and fail
-loudly on any disagreement, which is the whole point of keeping both.
+polygon_lattice_points lists the points themselves with one exact
+scan of the edges' crossings row by row, in O(rows * edges + points).
+verify_pick and verify_additivity pit the counts against the shoelace
+area and fail loudly on any disagreement, which is the whole point of
+keeping both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     DegenerateTriangleError,
@@ -37,10 +38,6 @@ from .core import (
 #: and polygon_lattice_points; boxes beyond it raise BoxTooLargeError
 #: before any work starts.
 DEFAULT_BOX_LIMIT = 10**8
-
-_Span = tuple[int, int]
-_Row = tuple[int, list[_Span], list[int], Sequence[_Span]]
-
 
 class BoxTooLargeError(GeometryError):
     """Bounding box exceeds the enumeration guard."""
@@ -109,70 +106,6 @@ def _guarded_box(poly: LatticePolygon, max_box_points: int) -> None:
         raise BoxTooLargeError(
             f"bounding box holds {count} lattice points, over the limit "
             f"of {max_box_points}")
-
-
-def _merged(spans: list[_Span]) -> list[_Span]:
-    """The closed x-spans ``spans`` in increasing order, with spans that
-    overlap or touch joined into one."""
-    merged: list[_Span] = []
-    for lo, hi in sorted(spans):
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _lattice_rows(vertices: Sequence[LatticePoint]) -> Iterator[_Row]:
-    """Scan the closed ring ``vertices`` (either orientation) row by row,
-    yielding ``(y, spans, points, runs)`` for each y from the lowest
-    vertex to the highest: the disjoint closed x-spans of the closed
-    polygon, in increasing order, and the row's boundary points.  A row
-    holding no vertex lists them in ``points``, as sorted x's, and
-    ``runs`` is empty; a row holding a vertex gives them all in
-    ``runs``, as disjoint closed x-spans in increasing order, and
-    ``points`` is empty.  So a horizontal edge costs one run, never one
-    entry per point.
-
-    Parity follows the half-open vertex rule of the per-point ray test:
-    an edge crosses row y iff (y1 > y) != (y2 > y).  A crossing x is
-    keyed as the integer 2*floor(x) + (0 if x is integral else 1), which
-    orders crossings exactly relative to every integer; crossings with
-    one key share an open unit interval, where their order moves no
-    lattice point, so no fractions are compared.
-    """
-    slanted = []  # (ylo, yhi, dx, dy > 0, offset): x = (offset + y*dx) / dy
-    on_row: dict[int, list[_Span]] = {}  # vertices, flat edges
-    for p, q in zip(vertices, [*vertices[1:], vertices[0]]):
-        on_row.setdefault(p.y, []).append((p.x, p.x))
-        if p.y == q.y:
-            on_row[p.y].append((min(p.x, q.x), max(p.x, q.x)))
-            continue
-        if p.y > q.y:
-            p, q = q, p
-        dx, dy = q.x - p.x, q.y - p.y
-        slanted.append((p.y, q.y, dx, dy, p.x * dy - p.y * dx))
-    for y in range(min(on_row), max(on_row) + 1):
-        keys = []
-        for ylo, yhi, dx, dy, offset in slanted:
-            if ylo <= y < yhi:
-                x, frac = divmod(offset + y * dx, dy)
-                keys.append(2 * x + 1 if frac else 2 * x)
-        keys.sort()
-        spans = []
-        for j in range(0, len(keys), 2):
-            lo, hi = (keys[j] + 1) // 2, keys[j + 1] // 2
-            if lo <= hi:
-                spans.append((lo, hi))
-        points = [k // 2 for k in keys if k % 2 == 0]
-        if y in on_row:
-            # Vertices and flat edges may lie outside the parity spans,
-            # and edges meeting at a vertex cross the row at one point.
-            flat = on_row[y]
-            yield (y, _merged(spans + flat), [],
-                   _merged([(x, x) for x in points] + flat))
-        else:
-            yield y, spans, points, ()
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -255,18 +188,44 @@ def polygon_lattice_points(poly: LatticePolygon,
                            max_box_points: int = DEFAULT_BOX_LIMIT,
                            ) -> tuple[list[LatticePoint], list[LatticePoint]]:
     """All (interior, boundary) lattice points of the polygon in
-    row-major order (by y, then x), by the row scan _lattice_rows, with
-    the same guard as interior_count_oracle."""
+    row-major order (by y, then x), with the same guard as
+    interior_count_oracle, in O(rows * edges + points).  Each row's
+    boundary x's come from the edges' own lattice points.  The edges
+    crossing row y by the half-open rule (y1 > y) != (y2 > y) bound its
+    inside runs, whose other lattice x's are interior.  A crossing x is
+    keyed as the integer 2*floor(x) + (0 if x is integral else 1); that
+    orders it exactly against every integer, and crossings sharing a
+    key lie in one open unit interval, so no fractions are compared."""
     _guarded_box(poly, max_box_points)
+    on_row: dict[int, set[int]] = {}
+    slanted = []  # (ylo, yhi, dx, dy > 0, offset): x = (offset + y*dx) / dy
+    for p, q in poly.edges():
+        g = edge_gcd(p, q)
+        sx, sy = (q.x - p.x) // g, (q.y - p.y) // g
+        if sy == 0:
+            on_row.setdefault(p.y, set()).update(range(p.x, q.x, sx))
+            continue
+        for k in range(g):
+            on_row.setdefault(p.y + k * sy, set()).add(p.x + k * sx)
+        if sy < 0:
+            p, q = q, p
+        dx, dy = q.x - p.x, q.y - p.y
+        slanted.append((p.y, q.y, dx, dy, p.x * dy - p.y * dx))
     interior: list[LatticePoint] = []
     boundary: list[LatticePoint] = []
-    for y, spans, points, runs in _lattice_rows(poly.vertices):
-        # one of points and runs is empty, so this is in order
-        on_boundary = points + [x for lo, hi in runs for x in range(lo, hi + 1)]
-        skip = set(on_boundary)
-        interior += [LatticePoint(x, y) for lo, hi in spans
-                     for x in range(lo, hi + 1) if x not in skip]
-        boundary += [LatticePoint(x, y) for x in on_boundary]
+    for y in range(min(on_row), max(on_row) + 1):
+        keys = []
+        for ylo, yhi, dx, dy, offset in slanted:
+            if ylo <= y < yhi:
+                x, frac = divmod(offset + y * dx, dy)
+                keys.append(2 * x + 1 if frac else 2 * x)
+        keys.sort()
+        on_boundary = on_row.get(y, ())
+        for lo, hi in zip(keys[::2], keys[1::2]):
+            interior += [LatticePoint(x, y)
+                         for x in range((lo + 1) // 2, hi // 2 + 1)
+                         if x not in on_boundary]
+        boundary += [LatticePoint(x, y) for x in sorted(on_boundary)]
     return interior, boundary
 
 
@@ -282,12 +241,9 @@ def triangle_lattice_counts(a: LatticePoint, b: LatticePoint, c: LatticePoint,
             edge_gcd(a, b) + edge_gcd(b, c) + edge_gcd(c, a))
 
 
-def closed_triangle_count(a: LatticePoint, b: LatticePoint, c: LatticePoint,
-                          stop_above: int | None = None) -> int:
-    """Number of lattice points in the closed triangle abc, in O(log C).
-    With ``stop_above`` set, the result is only promised to be
-    > stop_above when the count is; the count returned is exact
-    either way."""
+def closed_triangle_count(a: LatticePoint, b: LatticePoint,
+                          c: LatticePoint) -> int:
+    """Number of lattice points in the closed triangle abc, in O(log C)."""
     return sum(triangle_lattice_counts(a, b, c))
 
 
@@ -328,8 +284,7 @@ def _ring_with_points(poly: LatticePolygon,
 
 
 def verify_additivity(poly: LatticePolygon, a: LatticePoint, d: LatticePoint,
-                      b: LatticePoint,
-                      max_box_points: int = DEFAULT_BOX_LIMIT) -> AdditivityWitness:
+                      b: LatticePoint) -> AdditivityWitness:
     """Split ``poly`` along the path A-D-B and check that the lattice
     counts of the parts recombine exactly.
 
@@ -371,9 +326,9 @@ def verify_additivity(poly: LatticePolygon, a: LatticePoint, d: LatticePoint,
         raise InvalidCutError("cut does not split the polygon into two "
                               "simple counterclockwise parts") from exc
 
-    whole = verify_pick(poly, max_box_points)
-    first = verify_pick(part1, max_box_points)
-    second = verify_pick(part2, max_box_points)
+    whole = verify_pick(poly)
+    first = verify_pick(part1)
+    second = verify_pick(part2)
     cut_points = {p for s, t in zip(path, path[1:])
                   for p in segment_lattice_points(s, t)}
     return AdditivityWitness(

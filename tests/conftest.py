@@ -7,9 +7,9 @@ That keeps every generated case inside the library's own preconditions
 without ever touching floating point.
 
 The lattice-point oracles here classify every point of the bounding
-box with the per-point ray test, or sum the row scan that
-polygon_lattice_points enumerates with; the library counts with floor
-sums, independently of both.  The polygon check that tests every pair of
+box with the per-point ray test, or count the points that the row scan
+polygon_lattice_points lists; the library counts with floor sums,
+independently of both.  The polygon check that tests every pair of
 non-adjacent edges and the ear clipper that rescans the ring on every
 pass are kept here as oracles for the sweep in latticepick.core and
 the indexed ear clipper in latticepick.triangulate.  The segment-by-
@@ -58,7 +58,6 @@ from latticepick import (
     validate_polygon,
 )
 from latticepick.core import _classify_point, _edge_quads, _shoelace
-from latticepick.pick import _lattice_rows
 
 
 def box_scan_points(vertices: Sequence[LatticePoint],
@@ -83,17 +82,11 @@ def box_scan_points(vertices: Sequence[LatticePoint],
 
 def row_scan_counts(vertices: Sequence[LatticePoint]) -> tuple[int, int]:
     """(interior, boundary) lattice-point counts of the closed ring
-    ``vertices``, in either orientation, summed row by row from the
-    scan behind polygon_lattice_points: the oracle for the floor-sum
-    counters.  O(rows * edges)."""
-    interior = boundary = 0
-    for _, spans, points, runs in _lattice_rows(vertices):
-        on_boundary = len(points)
-        if runs:
-            on_boundary += sum(hi - lo + 1 for lo, hi in runs)
-        interior += sum(hi - lo + 1 for lo, hi in spans) - on_boundary
-        boundary += on_boundary
-    return interior, boundary
+    ``vertices``, in either orientation, as the lengths of the lists
+    that the row scan polygon_lattice_points returns: the oracle for the
+    floor-sum counters.  O(rows * edges + points)."""
+    interior, boundary = polygon_lattice_points(validate_polygon(vertices))
+    return len(interior), len(boundary)
 
 
 def row_scan_triangle_counts(a: LatticePoint, b: LatticePoint,

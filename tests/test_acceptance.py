@@ -96,7 +96,7 @@ def test_criterion_3_minimal_iff_three_points(capsys):
                 corners = random_triangle_corners(
                     rng, rng.choice((10, 100, 1000)))
             doubled = abs(twice_signed_area(*corners))
-            count = closed_triangle_count(*corners, stop_above=3)
+            count = closed_triangle_count(*corners)
             if doubled == 1:
                 assert count == 3
             else:

@@ -88,6 +88,20 @@ class TestParsePlain:
         with pytest.raises(PolygonParseError, match=r"line 2"):
             parse_polygon("0 0\nx 0\n0 1\n")
 
+    def test_lines_break_only_at_newlines(self):
+        # a form feed is whitespace inside a line, not a line break
+        with pytest.raises(PolygonParseError) as exc_info:
+            parse_polygon("0 0\f\n4 x\n0 4\n")
+        assert (exc_info.value.line, exc_info.value.column) == (2, 3)
+        for newline in ("\r\n", "\r"):
+            with pytest.raises(PolygonParseError) as exc_info:
+                parse_polygon(newline.join(["0 0", "4 x", "0 4"]))
+            assert exc_info.value.line == 2
+
+    def test_line_separator_stays_in_comment(self):
+        doc = parse_polygon("0 0\n4 0  # note\u2028 9 9\n0 4\n")
+        assert doc.vertices == (P(0, 0), P(4, 0), P(0, 4))
+
 
 class TestParseStructured:
     def test_basic(self):

@@ -37,7 +37,7 @@ from latticepick import (
     verify_pick,
 )
 
-from latticepick.pick import _floor_sum, _lattice_rows
+from latticepick.pick import _floor_sum
 from tests.conftest import (
     boundary_count_oracle,
     box_scan_points,
@@ -151,15 +151,6 @@ class TestFlatEdges:
             tracemalloc.stop()
         assert peak < 2**20, f"peak {peak} bytes, limit 1 MiB"
 
-    def test_runs_on_vertex_rows_only(self):
-        assert list(_lattice_rows([P(0, 0), P(4, 0), P(2, 4)])) == [
-            (0, [(0, 4)], [], [(0, 4)]),
-            (1, [(1, 3)], [], ()),
-            (2, [(1, 3)], [1, 3], ()),
-            (3, [(2, 2)], [], ()),
-            (4, [(2, 2)], [], [(2, 2)]),
-        ]
-
 
 class TestTriangleCounters:
     def test_flat_top_triangle(self):
@@ -171,17 +162,7 @@ class TestTriangleCounters:
     def test_closed_count(self):
         assert closed_triangle_count(P(0, 0), P(1, 0), P(0, 1)) == 3
         assert closed_triangle_count(P(0, 0), P(2, 0), P(1, 1)) == 4
-
-    def test_early_exit_overshoots_threshold(self):
-        full = closed_triangle_count(P(0, 0), P(20, 0), P(0, 20))
-        assert full == 231
-        partial = closed_triangle_count(P(0, 0), P(20, 0), P(0, 20),
-                                        stop_above=3)
-        assert 3 < partial <= full
-
-    def test_early_exit_exact_below_threshold(self):
-        assert closed_triangle_count(P(0, 0), P(1, 0), P(0, 1),
-                                     stop_above=3) == 3
+        assert closed_triangle_count(P(0, 0), P(20, 0), P(0, 20)) == 231
 
     @pytest.mark.parametrize("corners,counts", [
         ((P(0, 0), P(1, 0), P(0, 10**6)), (0, 10**6 + 2)),
@@ -296,8 +277,9 @@ def in_frame(ring: list[LatticePoint], frame: tuple[int, int, int, int],
 
 
 class TestRowScan:
-    """The row scan behind every counting routine against the per-point
-    bounding-box oracle of the tests."""
+    """The row scan polygon_lattice_points, point by point, and the
+    floor-sum counters against the per-point bounding-box oracle of the
+    tests."""
 
     @given(shape=st.sampled_from(sorted(RINGS)),
            seed=st.integers(min_value=0, max_value=10**6),
@@ -317,7 +299,6 @@ class TestRowScan:
         assert polygon_lattice_points(poly) == expected
         assert interior_count_oracle(poly) == len(expected[0])
         assert boundary_count(poly) == len(expected[1])
-        assert list(_lattice_rows(ring)) == list(_lattice_rows(poly.vertices))
         if len(ring) == 3:
             counts = (len(expected[0]), len(expected[1]))
             assert triangle_lattice_counts(*ring) == counts
@@ -325,8 +306,9 @@ class TestRowScan:
 
 
 class TestFloorSums:
-    """The floor-sum counters against the row scan and the per-point
-    box scan, on every ring family, in every lattice frame."""
+    """The floor-sum counters against the point counts of the row scan
+    polygon_lattice_points and of the per-point box scan, on every ring
+    family, in every lattice frame."""
 
     @given(n=st.integers(min_value=0, max_value=40),
            m=st.integers(min_value=1, max_value=40),

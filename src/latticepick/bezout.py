@@ -1,18 +1,23 @@
 """Locating the guaranteed lattice point inside a non-minimal triangle.
 
-Place one vertex c of a lattice triangle at the origin and call the
-other two A and B, with n the doubled area.  When n > 1 and the edge AB
-is primitive (its coordinate deltas are coprime), the segment joining
-(n-1)/n * A to (n-1)/n * B carries exactly one lattice point.  That
-point lies on or inside the triangle but is never one of its vertices,
-which makes it a splitting point for refinement.
+Take a lattice triangle with pivot c and doubled area n > 1, and let
+u and v be the offsets of its other two vertices from c, ordered so
+that u x v = n.  When the edge between them is primitive (w = v - u
+has coprime coordinates), the segment joining (n-1)/n * u to
+(n-1)/n * v carries exactly one lattice point.  Its offsets d are the
+lattice points of the line d x w = n - 1 in the window
+0 <= u x d <= n - 1; along the line u x d moves in steps of u x w = n,
+so the window holds exactly one of them.  That point lies on or inside
+the triangle but is never one of its vertices, which makes it a
+splitting point for refinement.
 
-The point is built in O(1) from a Bezout identity, once, in the
-private integer routine _split_offset, which the refinement kernel in
-triangulate calls on plain ints; interior_split_point is the same
-construction on three LatticePoints, with its preconditions checked.
-The O(n) scan over all n candidate positions, which also proves the
-point unique, lives with the tests as their oracle.
+The point is built in O(1), from one Bezout identity and one floor
+division, in the input's own coordinates, in the private integer
+routine _split_offset, which the refinement kernel in triangulate calls
+on plain ints; interior_split_point is the same construction on three
+LatticePoints, with its preconditions checked.  The O(n) scan over all
+n candidate positions, which also proves the point unique, lives with
+the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -29,49 +34,23 @@ from .core import (
     extended_gcd,
 )
 
-# Quarter-turn rotation matrices as (m00, m01, m10, m11).
-_IDENTITY = (1, 0, 0, 1)
-_HALF_TURN = (-1, 0, 0, -1)
-_QUARTER_CCW = (0, -1, 1, 0)   # (x, y) -> (-y, x)
-_QUARTER_CW = (0, 1, -1, 0)    # (x, y) -> (y, -x)
-
-
-def _rotation(ux: int, uy: int, vx: int,
-              vy: int) -> tuple[int, int, int, int]:
-    """The quarter turn that puts offset u strictly below offset v,
-    for a counterclockwise pair (u x v > 0)."""
-    if uy < vy:
-        return _IDENTITY
-    if uy > vy:
-        return _HALF_TURN
-    return _QUARTER_CCW if ux < vx else _QUARTER_CW
-
 
 def _split_offset(ux: int, uy: int, vx: int, vy: int,
                   n: int) -> tuple[int, int]:
     """The Bezout split point of the triangle with offsets u and v
     from its pivot, as an offset from the pivot.
 
-    Requires u x v = n > 1 and a primitive u - v; the caller checks.
-    The offsets are turned so that u lies strictly below v, and the
-    inverse turn, the transpose, maps the point back.  In the turned
-    frame, with A = (a, c) and B = (b, d), a Bezout identity gives one
-    lattice solution of the carrier line (a-b)*y - (c-d)*x = n - 1, and
-    one floor division slides it along the line into the window
-    c*(n-1)/n <= y < c*(n-1)/n - (c-d), which the segment's lattice
-    point provably occupies.
+    Requires u x v = n > 1 and a primitive w = v - u; the caller checks.
+    A Bezout identity gives p0 with p0 x w = 1, so (n-1) * p0 lies on
+    the line d x w = n - 1.  Each step of w along the line adds
+    u x w = n to u x d, so one floor division picks the step k that
+    brings u x d into the window [0, n - 1], where the segment's
+    lattice point provably lies.
     """
-    m00, m01, m10, m11 = _rotation(ux, uy, vx, vy)
-    ay = m10 * ux + m11 * uy
-    p = m00 * (ux - vx) + m01 * (uy - vy)
-    q = ay - (m10 * vx + m11 * vy)          # q < 0 after the turn
-    bez = extended_gcd(p, -q)               # p*s - q*t == 1
-    x = (n - 1) * bez.t
-    y = (n - 1) * bez.s
-    i = (ay * (n - 1) - n * y) // (n * q)   # floor; n*q < 0
-    x += p * i
-    y += q * i
-    return m00 * x + m10 * y, m01 * x + m11 * y
+    wx, wy = vx - ux, vy - uy
+    bez = extended_gcd(wy, -wx)             # s*wy - t*wx == 1
+    k = (n - 1) * (ux * bez.t - uy * bez.s) // n
+    return (n - 1) * bez.s - k * wx, (n - 1) * bez.t - k * wy
 
 
 def _offsets(a: LatticePoint, b: LatticePoint,
@@ -91,9 +70,10 @@ def normalize(points: Sequence[LatticePoint],
     """The frame offsets (A, B) of a triangle: A x B is its doubled area
     and A.dy < B.dy.  ``pivot`` selects the vertex moved to the origin;
     the other two, in ring order and exchanged if the doubled area is
-    negative, are turned by _split_offset's quarter turn.  Raises
-    DegenerateTriangleError for collinear input.  Unused in the package:
-    the per-layer tracer of bench/tracing.py looks it up in triangulate.
+    negative, are turned by the quarter turn that puts the first
+    strictly below the second.  Raises DegenerateTriangleError for
+    collinear input.  Unused in the package: the per-layer tracer of
+    bench/tracing.py looks it up in triangulate.
     """
     if len(points) != 3:
         raise PreconditionError(f"normalize needs exactly 3 points, got {len(points)}")
@@ -101,9 +81,14 @@ def normalize(points: Sequence[LatticePoint],
         raise PreconditionError(f"pivot must be 0, 1, or 2, got {pivot}")
     u, v, _ = _offsets(points[(pivot + 1) % 3], points[(pivot + 2) % 3],
                        points[pivot])
-    m00, m01, m10, m11 = _rotation(u.dx, u.dy, v.dx, v.dy)
-    a = LatticeVector(m00 * u.dx + m01 * u.dy, m10 * u.dx + m11 * u.dy)
-    b = LatticeVector(m00 * v.dx + m01 * v.dy, m10 * v.dx + m11 * v.dy)
+    if u.dy < v.dy:
+        a, b = u, v
+    elif u.dy > v.dy:                   # half turn
+        a, b = LatticeVector(-u.dx, -u.dy), LatticeVector(-v.dx, -v.dy)
+    elif u.dx < v.dx:                   # quarter turn, (x, y) -> (-y, x)
+        a, b = LatticeVector(-u.dy, u.dx), LatticeVector(-v.dy, v.dx)
+    else:                               # quarter turn, (x, y) -> (y, -x)
+        a, b = LatticeVector(u.dy, -u.dx), LatticeVector(v.dy, -v.dx)
     if a.dy >= b.dy:
         raise InternalInvariantError("normalized triangle must have a.dy < b.dy")
     return a, b

@@ -237,7 +237,8 @@ def _classify_point(px: int, py: int,
 class LatticePolygon:
     """A simple lattice polygon stored counterclockwise.
 
-    Construction validates everything: vertex count, coordinate bounds,
+    Construction validates everything: vertex count, coordinate types
+    (each exactly an int, so no bool and no float) and bounds,
     degenerate edges, orientation, and exact boundary simplicity (an
     integer Shamos-Hoey sweep, O(n log n) comparisons, finds whether
     any two non-adjacent edges touch).  Only when it finds a contact
@@ -266,6 +267,9 @@ def _check_polygon(vs: tuple[LatticePoint, ...]) -> None:
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
     for i, v in enumerate(vs):
+        if type(v.x) is not int or type(v.y) is not int:
+            raise CoordinateRangeError(
+                f"vertex {i} at {v} has a coordinate that is not an int", (i,))
         if abs(v.x) > COORDINATE_LIMIT or abs(v.y) > COORDINATE_LIMIT:
             raise CoordinateRangeError(
                 f"vertex {i} at {v} exceeds |coordinate| <= 2**31", (i,))

@@ -165,8 +165,8 @@ class TestSplitPoint:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=300, deadline=None)
     def test_offset_in_any_frame_matches_scan(self, seed):
-        # the refinement kernel calls _split_offset on raw offsets, so
-        # every quarter turn is exercised, not only the identity
+        # the refinement kernel calls _split_offset on raw offsets, in
+        # every direction, not only with u below v
         rng = random.Random(seed)
         a, b, c = splittable(rng, 2)
         if twice_signed_area(a, b, c) < 0:
@@ -175,6 +175,32 @@ class TestSplitPoint:
         d = split_point_scan(a, b, c)
         assert _split_offset(a.x - c.x, a.y - c.y, b.x - c.x, b.y - c.y,
                              n) == (d.x - c.x, d.y - c.y)
+
+    def test_large_offsets_meet_line_and_window(self):
+        # beyond the scan oracle's reach: coordinates up to 2**31, so the
+        # doubled area n reaches about 2**63
+        rng = random.Random(20261019)
+        limit = 2 ** 31
+        checked = 0
+        while checked < 2000:
+            ux, uy, vx, vy = (rng.randint(-limit, limit) for _ in range(4))
+            n = ux * vy - vx * uy
+            if n < 0:
+                ux, uy, vx, vy, n = vx, vy, ux, uy, -n
+            wx, wy = vx - ux, vy - uy
+            if n <= 1 or math.gcd(wx, wy) != 1:
+                continue
+            dx, dy = _split_offset(ux, uy, vx, vy, n)
+            assert dx * wy - dy * wx == n - 1
+            assert 0 <= ux * dy - uy * dx <= n - 1
+            c = P(rng.randint(-limit, limit), rng.randint(-limit, limit))
+            a, b = P(c.x + ux, c.y + uy), P(c.x + vx, c.y + vy)
+            d = interior_split_point(a, b, c)
+            assert d == P(c.x + dx, c.y + dy)
+            assert d == interior_split_point(b, a, c)
+            assert d not in (a, b, c)
+            assert in_closed_triangle(d, a, b, c)
+            checked += 1
 
     def test_kernel_splits_at_the_public_point(self):
         rng = random.Random(20261018)

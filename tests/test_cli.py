@@ -3,6 +3,7 @@ and golden-file comparisons for every subcommand."""
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -556,3 +557,58 @@ class TestGoldenCorpus:
                          .removeprefix("twice_area="))
         assert main(["triangulate", str(path)]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == twice_area
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_blocks(section: str, language: str) -> list[str]:
+    """The ``language`` code blocks of README's ``## section``."""
+    text = README.read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", body, re.S)
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """Each ``$ latticepick ...`` line of the Command line section with
+    the output lines under it."""
+    examples = []
+    for block in readme_blocks("Command line", "sh"):
+        for chunk in block.strip().split("\n\n"):
+            command, *output = chunk.splitlines()
+            examples.append((command, "".join(f"{line}\n" for line in output)))
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command,expected", readme_examples(),
+                             ids=[c for c, _ in readme_examples()])
+    def test_command_line_example(self, command, expected, monkeypatch,
+                                  capsys):
+        assert command.startswith("$ latticepick ")
+        monkeypatch.chdir(README.parent)
+        assert main(command.split()[2:]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_command_line_examples_found(self):
+        assert len(readme_examples()) >= 3
+
+    def test_library_snippet_values(self):
+        [block] = readme_blocks("Library", "python")
+        lines = block.splitlines()
+        namespace: dict = {}
+        checked = 0
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                value = eval(ast.unparse(stmt), namespace)
+            else:
+                exec(ast.unparse(stmt), namespace)
+                value = (namespace[stmt.targets[0].id]
+                         if isinstance(stmt, ast.Assign) else None)
+            _, hash_, comment = lines[stmt.end_lineno - 1].partition("# ")
+            if hash_:
+                shown = repr(value)
+                assert comment == shown or comment.startswith(shown + ","), \
+                    comment
+                checked += 1
+        assert checked == 2

@@ -170,6 +170,16 @@ class TestPolygonValidation:
         with pytest.raises(CoordinateRangeError):
             validate_polygon([P(0, 0), P(COORDINATE_LIMIT + 1, 0), P(0, 1)])
 
+    def test_float_coordinate_rejected(self):
+        with pytest.raises(CoordinateRangeError) as info:
+            validate_polygon([P(0, 0), P(1.5, 0), P(0, 1)])
+        assert info.value.indices == (1,)
+
+    def test_bool_coordinate_rejected(self):
+        with pytest.raises(CoordinateRangeError) as info:
+            validate_polygon([P(0, 0), P(1, 0), P(0, True)])
+        assert info.value.indices == (2,)
+
     def test_consecutive_duplicate(self):
         with pytest.raises(RepeatedVertexError):
             validate_polygon([P(0, 0), P(0, 0), P(1, 0), P(0, 1)])

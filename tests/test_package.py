@@ -58,3 +58,80 @@ def test_float_check_catches_each_form():
         assert float_uses(ast.parse(snippet)) != [], snippet
     assert float_uses(ast.parse(
         "from math import gcd\nx = a // b + math.gcd(a, b)")) == []
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, as a bare name, an attribute or an
+    imported name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and assigned names of
+    ``tree`` that start with a single underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports but never reads, leaving out the
+    ``__future__`` imports and import statements marked
+    ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__" \
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in loads:
+                unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    referenced = set().union(*map(loaded_names, trees.values()))
+    for name, tree in trees.items():
+        assert set(private_definitions(tree)) - referenced == set(), name
+
+
+def test_every_import_is_used():
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_dead_code_checks_catch_each_form():
+    tree = ast.parse("_KEPT = 1\n_LEFT = 2\n__dunder__ = 3\n"
+                     "def _helper(): return _KEPT\nclass _Gone: pass\n"
+                     "x = _helper()\n")
+    assert set(private_definitions(tree)) - loaded_names(tree) \
+        == {"_LEFT", "_Gone"}
+    assert unused_imports("import math\nfrom typing import Sequence\n"
+                          "x = math.gcd(1, 2)\n") == ["line 2: Sequence"]
+    assert unused_imports("from __future__ import annotations\n"
+                          "from .a import b  # noqa: F401\n") == []

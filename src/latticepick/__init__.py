@@ -37,9 +37,7 @@ from .core import (
     validate_polygon,
 )
 from .pick import (
-    DEFAULT_BOX_LIMIT,
     AdditivityWitness,
-    BoxTooLargeError,
     InvalidCutError,
     PickCount,
     boundary_count,
@@ -67,10 +65,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditivityWitness",
     "BezoutResult",
-    "BoxTooLargeError",
     "COORDINATE_LIMIT",
     "CoordinateRangeError",
-    "DEFAULT_BOX_LIMIT",
     "DegenerateSegmentError",
     "DegenerateTriangleError",
     "GeometryError",

@@ -26,11 +26,11 @@ import math
 from typing import Sequence
 
 from .core import (
-    DegenerateTriangleError,
     InternalInvariantError,
     LatticePoint,
     LatticeVector,
     PreconditionError,
+    _oriented,
     extended_gcd,
 )
 
@@ -56,13 +56,8 @@ def _split_offset(ux: int, uy: int, vx: int, vy: int,
 def _offsets(a: LatticePoint, b: LatticePoint,
              c: LatticePoint) -> tuple[LatticeVector, LatticeVector, int]:
     """Offsets a - c and b - c, exchanged so their cross n is > 0."""
-    u, v = a - c, b - c
-    n = u.cross(v)
-    if n == 0:
-        raise DegenerateTriangleError("triangle vertices are collinear")
-    if n < 0:
-        u, v, n = v, u, -n
-    return u, v, n
+    c, a, b, n = _oriented(c, a, b)
+    return a - c, b - c, n
 
 
 def normalize(points: Sequence[LatticePoint],
@@ -72,9 +67,9 @@ def normalize(points: Sequence[LatticePoint],
     the other two, in ring order and exchanged if the doubled area is
     negative, are turned by the quarter turn that puts the first
     strictly below the second.  Raises DegenerateTriangleError for
-    collinear input.  Unused in the package: the per-layer tracer of
-    bench/tracing.py looks it up in triangulate.
-    """
+    collinear input and PreconditionError for a non-int coordinate.
+    Unused in the package: the per-layer tracer of bench/tracing.py
+    looks it up in triangulate."""
     if len(points) != 3:
         raise PreconditionError(f"normalize needs exactly 3 points, got {len(points)}")
     if pivot not in (0, 1, 2):
@@ -100,7 +95,7 @@ def interior_split_point(a: LatticePoint, b: LatticePoint,
     c + (n-1)/n * (a-c) to c + (n-1)/n * (b-c), for the triangle abc of
     doubled area n with pivot c, in either orientation.  Raises
     DegenerateTriangleError for collinear input, and PreconditionError
-    when n = 1 or the edge ab is not primitive.
+    for a non-int coordinate, n = 1 or an edge ab that is not primitive.
     """
     u, v, n = _offsets(a, b, c)
     if n == 1:

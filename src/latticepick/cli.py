@@ -30,8 +30,6 @@ from .core import (
 # polygon_lattice_points is not called here, but the per-layer tracer
 # of bench/tracing.py looks it up in this module
 from .pick import (  # noqa: F401
-    DEFAULT_BOX_LIMIT,
-    BoxTooLargeError,
     boundary_count,
     interior_count_oracle,
     polygon_lattice_points,
@@ -53,6 +51,9 @@ EXIT_INTERNAL = 5
 #: (CPython 3.11, 2-core x86-64), so an admitted input ends within
 #: about 7 s and 0.4 GB.
 _MAX_TRIANGLES = 5 * 10**5
+#: count and pick refuse a polygon whose bounding box holds more lattice
+#: points than --max-box-points, by default this, before any work.
+_MAX_BOX_POINTS = 10**8
 _TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
@@ -74,8 +75,8 @@ class PolygonParseError(GeometryError):
         self.column = column
 
 
-class _TriangleLimitError(GeometryError):
-    """The triangulation would have more than _MAX_TRIANGLES triangles."""
+class _GuardError(GeometryError):
+    """The input is over a size guard of the command line."""
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,19 @@ def _cmd_area(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _guard_box(poly: LatticePolygon, limit: int) -> None:
+    xs = [v.x for v in poly.vertices]
+    ys = [v.y for v in poly.vertices]
+    count = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+    if count > limit:
+        raise _GuardError(f"bounding box holds {count} lattice points, "
+                          f"over the limit of {limit}")
+
+
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
-    interior = interior_count_oracle(doc.polygon, args.max_box_points)
+    _guard_box(doc.polygon, args.max_box_points)
+    interior = interior_count_oracle(doc.polygon)
     boundary = boundary_count(doc.polygon)
     out.write(f"interior={interior} boundary={boundary}\n")
     return EXIT_OK
@@ -188,7 +199,8 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_pick(args: argparse.Namespace, out: TextIO) -> int:
     doc = _load(args.file, args.format)
-    counts = verify_pick(doc.polygon, args.max_box_points)
+    _guard_box(doc.polygon, args.max_box_points)
+    counts = verify_pick(doc.polygon)
     out.write(f"interior={counts.interior} boundary={counts.boundary} "
               f"twice_area={counts.twice_area} OK\n")
     return EXIT_OK
@@ -197,7 +209,7 @@ def _cmd_pick(args: argparse.Namespace, out: TextIO) -> int:
 def _guard_triangles(poly: LatticePolygon) -> None:
     doubled = twice_polygon_area(poly)
     if doubled > _MAX_TRIANGLES:
-        raise _TriangleLimitError(
+        raise _GuardError(
             f"doubled area 2A = {doubled} means {doubled} triangles, over "
             f"the limit of {_MAX_TRIANGLES}")
 
@@ -279,7 +291,7 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_svg(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_svg(args: argparse.Namespace, _out: TextIO) -> int:
     doc = _load(args.file, args.format)
     # the only guard: it bounds the i + u <= 2A + 2 points drawn too
     _guard_triangles(doc.polygon)
@@ -321,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_guard(p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-box-points", type=_positive_int,
-                       default=DEFAULT_BOX_LIMIT,
+                       default=_MAX_BOX_POINTS,
                        help="bounding-box size guard for point enumeration")
 
     add("area", "print the doubled and exact rational area", _cmd_area)
@@ -360,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except PolygonError as exc:
         print(f"error: invalid polygon: {exc}", file=sys.stderr)
         return EXIT_INVALID_POLYGON
-    except (BoxTooLargeError, _TriangleLimitError) as exc:
+    except _GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InternalInvariantError as exc:

@@ -126,6 +126,21 @@ def twice_signed_area(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     return (b.x - a.x) * (c.y - a.y) - (c.x - a.x) * (b.y - a.y)
 
 
+def _oriented(a: LatticePoint, b: LatticePoint, c: LatticePoint,
+              ) -> tuple[LatticePoint, LatticePoint, LatticePoint, int]:
+    """Triangle corners a, b, c counterclockwise, a kept first, and
+    their doubled area.  Raises PreconditionError for a coordinate that
+    is not exactly an int, DegenerateTriangleError for collinear ones."""
+    for p in (a, b, c):
+        for v in (p.x, p.y):
+            if type(v) is not int:
+                raise PreconditionError(f"coordinate {v!r} of {p} is not an int")
+    s = twice_signed_area(a, b, c)
+    if s == 0:
+        raise DegenerateTriangleError(f"collinear vertices {a}, {b}, {c}")
+    return (a, b, c, s) if s > 0 else (a, c, b, -s)
+
+
 def extended_gcd(p: int, q: int) -> BezoutResult:
     """Greatest common divisor with Bezout coefficients, p*s + q*t == g.
 

@@ -8,7 +8,8 @@ polygon_lattice_points lists the points themselves with one exact
 scan of the edges' crossings row by row, in O(rows * edges + points).
 verify_pick and verify_additivity pit the counts against the shoelace
 area and fail loudly on any disagreement, which is the whole point of
-keeping both.
+keeping both.  Every function here takes any valid polygon, whatever
+its bounding box: the size guards belong to the command line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from math import gcd
 from typing import Sequence
 
 from .core import (
-    DegenerateTriangleError,
     GeometryError,
     InternalInvariantError,
     LatticePoint,
@@ -26,22 +26,13 @@ from .core import (
     PointLocation,
     PolygonError,
     PreconditionError,
+    _oriented,
     edge_gcd,
     point_in_polygon,
     point_on_segment,
     segment_lattice_points,
     twice_polygon_area,
-    twice_signed_area,
 )
-
-#: Default ceiling on bounding-box lattice points for interior_count_oracle
-#: and polygon_lattice_points; boxes beyond it raise BoxTooLargeError
-#: before any work starts.
-DEFAULT_BOX_LIMIT = 10**8
-
-class BoxTooLargeError(GeometryError):
-    """Bounding box exceeds the enumeration guard."""
-
 
 class InvalidCutError(GeometryError):
     """A requested polygon cut does not split it into two simple parts."""
@@ -70,7 +61,9 @@ class PickCount:
 class AdditivityWitness:
     """Counts collected from a polygon split in two along a cut path,
     with ``d`` the number of lattice points on the cut (shared endpoints
-    counted once).  Construction enforces the transfer identities."""
+    counted once).  Construction enforces the transfer identities
+    i = i1 + i2 + d - 2 and u = u1 + u2 - 2d + 2, which imply that the
+    doubled areas add: 2i + u - 2 = (2i1 + u1 - 2) + (2i2 + u2 - 2)."""
 
     interior: int
     boundary: int
@@ -88,24 +81,12 @@ class AdditivityWitness:
             raise InternalInvariantError("interior transfer identity violated")
         if u != u1 + u2 - 2 * d + 2:
             raise InternalInvariantError("boundary transfer identity violated")
-        if 2 * i + u - 2 != (2 * i1 + u1 - 2) + (2 * i2 + u2 - 2):
-            raise InternalInvariantError("doubled area additivity violated")
 
 
 def boundary_count(poly: LatticePolygon) -> int:
     """Number of lattice points on the polygon boundary: the sum of
     edge gcds, each edge contributing its half-open point count."""
     return sum(edge_gcd(a, b) for a, b in poly.edges())
-
-
-def _guarded_box(poly: LatticePolygon, max_box_points: int) -> None:
-    xs = [v.x for v in poly.vertices]
-    ys = [v.y for v in poly.vertices]
-    count = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
-    if count > max_box_points:
-        raise BoxTooLargeError(
-            f"bounding box holds {count} lattice points, over the limit "
-            f"of {max_box_points}")
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -174,29 +155,25 @@ def _interior_count(ring: Sequence[LatticePoint]) -> int:
     return count
 
 
-def interior_count_oracle(poly: LatticePolygon,
-                          max_box_points: int = DEFAULT_BOX_LIMIT) -> int:
+def interior_count_oracle(poly: LatticePolygon) -> int:
     """Count interior lattice points exactly, by one floor sum per
-    non-vertical edge (_interior_count), in O(n log C), independent of
-    the shoelace area and of the gcd boundary sum.  The guard rejects
-    bounding boxes over ``max_box_points`` before any work starts."""
-    _guarded_box(poly, max_box_points)
+    non-vertical edge (_interior_count), in O(n log C) whatever the
+    bounding box, independent of the shoelace area and of the gcd
+    boundary sum."""
     return _interior_count(poly.vertices)
 
 
 def polygon_lattice_points(poly: LatticePolygon,
-                           max_box_points: int = DEFAULT_BOX_LIMIT,
                            ) -> tuple[list[LatticePoint], list[LatticePoint]]:
     """All (interior, boundary) lattice points of the polygon in
-    row-major order (by y, then x), with the same guard as
-    interior_count_oracle, in O(rows * edges + points).  Each row's
-    boundary x's come from the edges' own lattice points.  The edges
+    row-major order (by y, then x), in O(rows * edges + points): the
+    caller pays for every point it asks for.  Each row's boundary x's
+    come from the edges' own lattice points.  The edges
     crossing row y by the half-open rule (y1 > y) != (y2 > y) bound its
     inside runs, whose other lattice x's are interior.  A crossing x is
     keyed as the integer 2*floor(x) + (0 if x is integral else 1); that
     orders it exactly against every integer, and crossings sharing a
     key lie in one open unit interval, so no fractions are compared."""
-    _guarded_box(poly, max_box_points)
     on_row: dict[int, set[int]] = {}
     slanted = []  # (ylo, yhi, dx, dy > 0, offset): x = (offset + y*dx) / dy
     for p, q in poly.edges():
@@ -233,11 +210,8 @@ def triangle_lattice_counts(a: LatticePoint, b: LatticePoint, c: LatticePoint,
                             ) -> tuple[int, int]:
     """(interior, boundary) lattice-point counts of triangle abc, in
     either orientation, by floor sums and edge gcds in O(log C)."""
-    area = twice_signed_area(a, b, c)
-    if area == 0:
-        raise DegenerateTriangleError(f"collinear vertices {a}, {b}, {c}")
-    ring = (a, b, c) if area > 0 else (a, c, b)
-    return (_interior_count(ring),
+    a, b, c, _ = _oriented(a, b, c)
+    return (_interior_count((a, b, c)),
             edge_gcd(a, b) + edge_gcd(b, c) + edge_gcd(c, a))
 
 
@@ -255,13 +229,13 @@ def pick_twice_area(interior: int, boundary: int) -> int:
     return 2 * interior + boundary - 2
 
 
-def verify_pick(poly: LatticePolygon,
-                max_box_points: int = DEFAULT_BOX_LIMIT) -> PickCount:
+def verify_pick(poly: LatticePolygon) -> PickCount:
     """Count interior points by floor sums and boundary points by gcd
-    sum, and check the result against the shoelace area, which neither
-    count uses.  The returned PickCount re-asserts the identity on
-    construction; disagreement is unreachable unless there is a bug."""
-    interior = interior_count_oracle(poly, max_box_points)
+    sum, in O(n log C), and check the result against the shoelace area,
+    which neither count uses.  The returned PickCount re-asserts the
+    identity on construction; disagreement is unreachable unless there
+    is a bug."""
+    interior = interior_count_oracle(poly)
     boundary = boundary_count(poly)
     if boundary < len(poly.vertices):
         raise InternalInvariantError(

@@ -36,12 +36,12 @@ from functools import cached_property
 from heapq import heappop, heappush
 
 from .core import (
-    DegenerateTriangleError,
     InternalInvariantError,
     LatticePoint,
     LatticePolygon,
     Point,
     PreconditionError,
+    _oriented,
     edge_gcd,
     twice_polygon_area,
     twice_signed_area,
@@ -83,13 +83,7 @@ class LatticeTriangle:
                     r: LatticePoint) -> "LatticeTriangle":
         """Build a triangle from vertices in either orientation; the
         first vertex is kept in place, the other two swap if needed."""
-        s = twice_signed_area(p, q, r)
-        if s == 0:
-            raise DegenerateTriangleError(f"collinear vertices {p}, {q}, {r}")
-        if s < 0:
-            q, r = r, q
-            s = -s
-        return cls(p, q, r, s)
+        return cls(*_oriented(p, q, r))
 
     @property
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:

@@ -81,6 +81,12 @@ class TestNormalize:
         with pytest.raises(DegenerateTriangleError):
             normalize([P(0, 0), P(1, 1), P(3, 3)], pivot=0)
 
+    def test_quarter_turn_clockwise(self):
+        # offsets (2, 1) and (0, 1) share their dy, the first to the
+        # right: (x, y) -> (y, -x) puts it below the second
+        assert normalize([P(2, 1), P(0, 1), P(0, 0)], pivot=2) == \
+            (V(1, -2), V(1, 0))
+
     @pytest.mark.parametrize("points,pivot", [
         ([P(0, 0), P(1, 0)], 0),
         ([P(0, 0), P(1, 0), P(0, 1)], 3),

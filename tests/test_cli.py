@@ -68,6 +68,10 @@ class TestParsePlain:
         doc = parse_polygon("-1 -1\n1 -1\n0 1\n")
         assert doc.vertices[0] == P(-1, -1)
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="'xml'"):
+            parse_polygon("0 0\n1 0\n0 1\n", fmt="xml")
+
     def test_wrong_token_count(self):
         with pytest.raises(PolygonParseError) as exc_info:
             parse_polygon("0 0\n1 2 3\n0 1\n")
@@ -206,8 +210,28 @@ class TestExitCodes:
         f.write_text("0 0\n1000 0\n0 1000\n")
         assert main(["count", str(f), "--max-box-points", "100"]) == EXIT_GUARD
 
+    @pytest.mark.parametrize("command", ["count", "pick"])
+    def test_guard_on_the_coordinate_box(self, command, tmp_path, capsys):
+        # the default limit refuses the box, before any work; raised, it
+        # lets the floor sums count the 1.8e19 points
+        side = 2**31
+        f = tmp_path / "p.txt"
+        f.write_text(f"{-side} {-side + 3}\n{side - 5} {-side}\n"
+                     f"{side} {side - 7}\n{-side + 11} {side}\n")
+        assert main([command, str(f)]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bounding box holds 18446744082299486209 lattice "
+            "points, over the limit of 100000000\n")
+        assert main([command, str(f), "--max-box-points",
+                     "20000000000000000000"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            "interior=18446744017874976844 boundary=10")
+
     @pytest.mark.parametrize("value,code", [
-        ("-5", EXIT_PARSE), ("0", EXIT_PARSE), ("1", EXIT_GUARD)])
+        ("-5", EXIT_PARSE), ("0", EXIT_PARSE), ("1", EXIT_GUARD),
+        ("abc", EXIT_PARSE), ("1e3", EXIT_PARSE)])
     def test_guard_must_be_positive(self, value, code, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("0 0\n1 0\n0 1\n")

@@ -16,18 +16,24 @@ from latticepick import (
     DegenerateSegmentError,
     LatticePoint,
     LatticePolygon,
+    LatticeTriangle,
     LatticeVector,
     PointLocation,
     PolygonError,
+    PreconditionError,
     RepeatedVertexError,
     SelfIntersectionError,
     TooFewVerticesError,
     ZeroAreaError,
+    closed_triangle_count,
     edge_gcd,
     extended_gcd,
+    interior_split_point,
+    normalize,
     point_in_polygon,
     point_on_segment,
     segment_lattice_points,
+    triangle_lattice_counts,
     twice_polygon_area,
     twice_signed_area,
     validate_polygon,
@@ -146,6 +152,36 @@ class TestSegments:
 
     def test_point_on_segment_interior(self):
         assert point_on_segment(P(2, 2), P(0, 0), P(4, 4))
+
+    def test_point_on_degenerate_segment(self):
+        assert point_on_segment(P(3, -1), P(3, -1), P(3, -1))
+        for p in (P(3, 0), P(4, -1), P(0, 0)):
+            assert not point_on_segment(p, P(3, -1), P(3, -1))
+
+
+# every public function that takes three triangle corners
+TRIANGLE_ENTRY_POINTS = {
+    "from_points": LatticeTriangle.from_points,
+    "interior_split_point": interior_split_point,
+    "normalize": lambda a, b, c: normalize([a, b, c], 0),
+    "triangle_lattice_counts": triangle_lattice_counts,
+    "closed_triangle_count": closed_triangle_count,
+}
+
+
+class TestTriangleCorners:
+    # the corners are splittable (doubled area 3, primitive edge ab),
+    # so an int-only check is the only thing that can refuse them
+    @pytest.mark.parametrize("corners,bad", [
+        ((P(0, 0), P(3, 1), P(0.5, 2)), "0.5"),
+        ((P(0, 0), P(3, 1), P(0, True)), "True"),
+        ((P(2.0, 0), P(5, 1), P(2, 1)), "2.0"),
+        ((P(False, 0), P(3, 1), P(0, 1)), "False"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(TRIANGLE_ENTRY_POINTS))
+    def test_non_int_coordinate_rejected(self, entry, corners, bad):
+        with pytest.raises(PreconditionError, match=f"coordinate {bad} "):
+            TRIANGLE_ENTRY_POINTS[entry](*corners)
 
 
 class TestPolygonValidation:

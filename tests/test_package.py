@@ -111,6 +111,28 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
+def unread_parameters(tree: ast.AST) -> list[str]:
+    """The parameters of every function and lambda in ``tree`` that its
+    body, nested functions included, never reads, leaving out the names
+    that start with an underscore."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + \
+            [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {sub.id for stmt in body for sub in ast.walk(stmt)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"line {node.lineno}: {name}({param.arg})"
+                   for param in params
+                   if not param.arg.startswith("_") and param.arg not in reads]
+    return unread
+
+
 def test_every_private_name_is_referenced():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in SOURCES}
@@ -125,6 +147,12 @@ def test_every_import_is_used():
             assert unused_imports(path.read_text()) == [], path.name
 
 
+def test_every_parameter_is_read():
+    for path in SOURCES:
+        assert unread_parameters(ast.parse(path.read_text(), str(path))) \
+            == [], path.name
+
+
 def test_dead_code_checks_catch_each_form():
     tree = ast.parse("_KEPT = 1\n_LEFT = 2\n__dunder__ = 3\n"
                      "def _helper(): return _KEPT\nclass _Gone: pass\n"
@@ -135,3 +163,16 @@ def test_dead_code_checks_catch_each_form():
                           "x = math.gcd(1, 2)\n") == ["line 2: Sequence"]
     assert unused_imports("from __future__ import annotations\n"
                           "from .a import b  # noqa: F401\n") == []
+
+
+def test_dead_parameter_check_catches_each_form():
+    tree = ast.parse(
+        "def f(a, /, b, *c, d, e=1, **g): return e\n"
+        "class K:\n    def m(self, x): return self\n"
+        "h = lambda y, z: z\n"
+        "def outer(n, _skip):\n    def inner(): return n\n    return inner\n"
+        "def shadow(q, r=q): return r\n")
+    assert set(unread_parameters(tree)) == {
+        "line 1: f(a)", "line 1: f(b)", "line 1: f(c)", "line 1: f(d)",
+        "line 1: f(g)", "line 3: m(x)", "line 4: lambda(y)",
+        "line 8: shadow(q)"}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from latticepick import (
     AdditivityWitness,
-    BoxTooLargeError,
     DegenerateTriangleError,
     InternalInvariantError,
     InvalidCutError,
@@ -97,15 +96,6 @@ class TestInteriorOracle:
         assert interior == [P(0, 1)]
         assert len(boundary) == 3
 
-    def test_guard_triggers(self):
-        poly = validate_polygon([P(0, 0), P(10**4, 0), P(0, 10**4)])
-        with pytest.raises(BoxTooLargeError):
-            interior_count_oracle(poly, max_box_points=10**6)
-
-    def test_guard_is_configurable(self):
-        poly = validate_polygon([P(0, 0), P(30, 0), P(0, 30)])
-        assert interior_count_oracle(poly, max_box_points=10**4) == 406
-
     def test_tall_sawtooth_counts_fast(self):
         # 98 003 vertices in a box of 9.81e7 points, under the default
         # guard: the row scan took 45 s here, rows times edges
@@ -126,11 +116,9 @@ class TestInteriorOracle:
         side = 2**31
         poly = validate_polygon([P(-side, -side + 3), P(side - 5, -side),
                                  P(side, side - 7), P(-side + 11, side)])
-        with pytest.raises(BoxTooLargeError):
-            interior_count_oracle(poly)
         # no oracle reaches this size: PickCount checks the identity
         # against the shoelace area on construction
-        counts = verify_pick(poly, max_box_points=(2 * side + 1) ** 2)
+        counts = verify_pick(poly)
         assert counts.twice_area == twice_polygon_area(poly)
 
 
@@ -426,6 +414,18 @@ class TestAdditivity:
         assert w.cut_points == 2
         assert (w.interior_1, w.boundary_1) == (0, 3)
         assert (w.interior_2, w.boundary_2) == (0, 3)
+
+    def test_square_over_a_box_of_four_hundred_million_points(self):
+        side = 20_000
+        poly = validate_polygon([P(0, 0), P(side, 0), P(side, side),
+                                 P(0, side)])
+        w = verify_additivity(poly, P(0, 0), P(0, 0), P(side, side))
+        # each half is a right triangle with 3 * side boundary points
+        half = (side * side - 3 * side + 2) // 2
+        assert w == AdditivityWitness(
+            interior=(side - 1) ** 2, boundary=4 * side,
+            interior_1=half, boundary_1=3 * side,
+            interior_2=half, boundary_2=3 * side, cut_points=side + 1)
 
     def test_cut_leaving_polygon_rejected(self):
         poly = validate_polygon(U_SHAPE)

@@ -67,7 +67,7 @@ def normalize(points: Sequence[LatticePoint],
     the other two, in ring order and exchanged if the doubled area is
     negative, are turned by the quarter turn that puts the first
     strictly below the second.  Raises DegenerateTriangleError for
-    collinear input and PreconditionError for a non-int coordinate.
+    collinear input.
     Unused in the package: the per-layer tracer of bench/tracing.py
     looks it up in triangulate."""
     if len(points) != 3:
@@ -95,7 +95,7 @@ def interior_split_point(a: LatticePoint, b: LatticePoint,
     c + (n-1)/n * (a-c) to c + (n-1)/n * (b-c), for the triangle abc of
     doubled area n with pivot c, in either orientation.  Raises
     DegenerateTriangleError for collinear input, and PreconditionError
-    for a non-int coordinate, n = 1 or an edge ab that is not primitive.
+    for n = 1 or an edge ab that is not primitive.
     """
     u, v, n = _offsets(a, b, c)
     if n == 1:

@@ -13,7 +13,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
@@ -79,17 +78,6 @@ class _GuardError(GeometryError):
     """The input is over a size guard of the command line."""
 
 
-@dataclass(frozen=True)
-class PolygonDocument:
-    """A polygon as read from a file: raw vertices in input order plus
-    the validated polygon built from them."""
-
-    vertices: tuple[LatticePoint, ...]
-    source: str
-    format: str
-    polygon: LatticePolygon
-
-
 def _parse_plain(text: str) -> list[LatticePoint]:
     vertices = []
     # break lines only where open() does; str.splitlines also breaks at
@@ -145,9 +133,10 @@ def _sniff_format(text: str, source: str) -> str:
 
 
 def parse_polygon(text: str, fmt: str = "auto",
-                  source: str = "<input>") -> PolygonDocument:
+                  source: str = "<input>") -> LatticePolygon:
     """Parse polygon text in the plain (one "x y" per line, # comments)
-    or structured (JSON array of [x, y] pairs) format and validate it."""
+    or structured (JSON array of [x, y] pairs) format and return the
+    validated, counterclockwise LatticePolygon."""
     if fmt == "auto":
         fmt = _sniff_format(text, source)
     if fmt == "plain":
@@ -156,11 +145,10 @@ def parse_polygon(text: str, fmt: str = "auto",
         vertices = _parse_structured(text)
     else:
         raise ValueError(f"unknown polygon format {fmt!r}")
-    return PolygonDocument(tuple(vertices), source, fmt,
-                           validate_polygon(vertices))
+    return validate_polygon(vertices)
 
 
-def _load(path: str, fmt: str) -> PolygonDocument:
+def _load(path: str, fmt: str) -> LatticePolygon:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -172,8 +160,8 @@ def _load(path: str, fmt: str) -> PolygonDocument:
 
 
 def _cmd_area(args: argparse.Namespace, out: TextIO) -> int:
-    doc = _load(args.file, args.format)
-    doubled = twice_polygon_area(doc.polygon)
+    poly = _load(args.file, args.format)
+    doubled = twice_polygon_area(poly)
     out.write(f"twice_area={doubled}\n")
     out.write(f"area={Fraction(doubled, 2)}\n")
     return EXIT_OK
@@ -189,18 +177,18 @@ def _guard_box(poly: LatticePolygon, limit: int) -> None:
 
 
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
-    doc = _load(args.file, args.format)
-    _guard_box(doc.polygon, args.max_box_points)
-    interior = interior_count_oracle(doc.polygon)
-    boundary = boundary_count(doc.polygon)
+    poly = _load(args.file, args.format)
+    _guard_box(poly, args.max_box_points)
+    interior = interior_count_oracle(poly)
+    boundary = boundary_count(poly)
     out.write(f"interior={interior} boundary={boundary}\n")
     return EXIT_OK
 
 
 def _cmd_pick(args: argparse.Namespace, out: TextIO) -> int:
-    doc = _load(args.file, args.format)
-    _guard_box(doc.polygon, args.max_box_points)
-    counts = verify_pick(doc.polygon)
+    poly = _load(args.file, args.format)
+    _guard_box(poly, args.max_box_points)
+    counts = verify_pick(poly)
     out.write(f"interior={counts.interior} boundary={counts.boundary} "
               f"twice_area={counts.twice_area} OK\n")
     return EXIT_OK
@@ -215,9 +203,9 @@ def _guard_triangles(poly: LatticePolygon) -> None:
 
 
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
-    doc = _load(args.file, args.format)
-    _guard_triangles(doc.polygon)
-    result = primitive_triangulation(doc.polygon)
+    poly = _load(args.file, args.format)
+    _guard_triangles(poly)
+    result = primitive_triangulation(poly)
     # every point printed is a vertex of a finished triangle, and each
     # appears in several lines: turn each into text once
     points = set()
@@ -292,11 +280,11 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
 
 
 def _cmd_svg(args: argparse.Namespace, _out: TextIO) -> int:
-    doc = _load(args.file, args.format)
+    poly = _load(args.file, args.format)
     # the only guard: it bounds the i + u <= 2A + 2 points drawn too
-    _guard_triangles(doc.polygon)
-    result = primitive_triangulation(doc.polygon)
-    text = render_svg(doc.polygon, result)
+    _guard_triangles(poly)
+    result = primitive_triangulation(poly)
+    text = render_svg(poly, result)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return EXIT_OK

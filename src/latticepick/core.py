@@ -78,10 +78,17 @@ class SelfIntersectionError(PolygonError):
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """A point of the integer lattice."""
+    """A point of the integer lattice.  Construction raises
+    PreconditionError for a coordinate that is not exactly an int, so
+    no bool and no float enters any function that takes points."""
 
     x: int
     y: int
+
+    def __post_init__(self) -> None:
+        if type(self.x) is not int or type(self.y) is not int:
+            v = self.y if type(self.x) is int else self.x
+            raise PreconditionError(f"coordinate {v!r} of {self} is not an int")
 
     def __sub__(self, other: "LatticePoint") -> "LatticeVector":
         return LatticeVector(self.x - other.x, self.y - other.y)
@@ -129,12 +136,8 @@ def twice_signed_area(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
 def _oriented(a: LatticePoint, b: LatticePoint, c: LatticePoint,
               ) -> tuple[LatticePoint, LatticePoint, LatticePoint, int]:
     """Triangle corners a, b, c counterclockwise, a kept first, and
-    their doubled area.  Raises PreconditionError for a coordinate that
-    is not exactly an int, DegenerateTriangleError for collinear ones."""
-    for p in (a, b, c):
-        for v in (p.x, p.y):
-            if type(v) is not int:
-                raise PreconditionError(f"coordinate {v!r} of {p} is not an int")
+    their doubled area.  Raises DegenerateTriangleError for collinear
+    corners."""
     s = twice_signed_area(a, b, c)
     if s == 0:
         raise DegenerateTriangleError(f"collinear vertices {a}, {b}, {c}")
@@ -252,8 +255,8 @@ def _classify_point(px: int, py: int,
 class LatticePolygon:
     """A simple lattice polygon stored counterclockwise.
 
-    Construction validates everything: vertex count, coordinate types
-    (each exactly an int, so no bool and no float) and bounds,
+    Construction validates everything: vertex count, coordinate bounds
+    (LatticePoint itself refuses a coordinate that is not an int),
     degenerate edges, orientation, and exact boundary simplicity (an
     integer Shamos-Hoey sweep, O(n log n) comparisons, finds whether
     any two non-adjacent edges touch).  Only when it finds a contact
@@ -282,9 +285,6 @@ def _check_polygon(vs: tuple[LatticePoint, ...]) -> None:
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
     for i, v in enumerate(vs):
-        if type(v.x) is not int or type(v.y) is not int:
-            raise CoordinateRangeError(
-                f"vertex {i} at {v} has a coordinate that is not an int", (i,))
         if abs(v.x) > COORDINATE_LIMIT or abs(v.y) > COORDINATE_LIMIT:
             raise CoordinateRangeError(
                 f"vertex {i} at {v} exceeds |coordinate| <= 2**31", (i,))

@@ -73,10 +73,10 @@ class LatticeTriangle:
     twice_area: int
 
     def __post_init__(self) -> None:
-        if self.twice_area <= 0 or \
+        if type(self.twice_area) is not int or self.twice_area <= 0 or \
                 twice_signed_area(self.v0, self.v1, self.v2) != self.twice_area:
             raise InternalInvariantError("triangle must be counterclockwise "
-                                         "with a consistent doubled area")
+                                         "with a consistent int doubled area")
 
     @classmethod
     def from_points(cls, p: LatticePoint, q: LatticePoint,
@@ -132,10 +132,9 @@ def _event(parent: LatticeTriangle, rule: SplitRule, d: Point,
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Finished refinement of ``source``: exactly
-    twice_polygon_area(source) counterclockwise triangles of doubled
-    area 1 that tile it.  primitive_triangulation proves this with the
-    tiling certificate before it builds the object.
+    """Finished refinement of a polygon into exactly twice_polygon_area
+    counterclockwise triangles of doubled area 1 that tile it, proved
+    by primitive_triangulation's tiling certificate before it is built.
 
     ``triangle_tuples`` and ``event_tuples`` hold the refinement
     kernel's plain tuples, triangles in completion order and the split
@@ -147,7 +146,6 @@ class Triangulation:
 
     triangle_tuples: tuple[TriangleTuple, ...]
     event_tuples: tuple[EventTuple, ...]
-    source: LatticePolygon
 
     @cached_property
     def triangles(self) -> tuple[LatticeTriangle, ...]:
@@ -417,4 +415,4 @@ def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
     """
     tris, events = _refine(poly)
     _certify(poly, tris)
-    return Triangulation(tuple(tris), tuple(events), poly)
+    return Triangulation(tuple(tris), tuple(events))

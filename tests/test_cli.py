@@ -14,6 +14,7 @@ import pytest
 
 from latticepick import (
     LatticePoint,
+    LatticePolygon,
     cli,
     polygon_lattice_points,
     triangulate,
@@ -27,6 +28,7 @@ from latticepick.cli import (
     EXIT_OK,
     EXIT_PARSE,
     PolygonParseError,
+    _sniff_format,
     main,
     parse_polygon,
     render_svg,
@@ -55,18 +57,17 @@ def polygon_files() -> list[Path]:
 
 class TestParsePlain:
     def test_basic(self):
-        doc = parse_polygon("0 0\n2 0\n2 2\n0 2\n")
-        assert doc.format == "plain"
-        assert doc.vertices == (P(0, 0), P(2, 0), P(2, 2), P(0, 2))
+        text = "0 0\n2 0\n2 2\n0 2\n"
+        assert _sniff_format(text, "<input>") == "plain"
+        assert parse_polygon(text) == \
+            LatticePolygon((P(0, 0), P(2, 0), P(2, 2), P(0, 2)))
 
     def test_comments_and_blank_lines(self):
         text = "# a square\n\n0 0\n2 0  # bottom right\n\n2 2\n0 2\n"
-        doc = parse_polygon(text)
-        assert len(doc.vertices) == 4
+        assert len(parse_polygon(text)) == 4
 
     def test_negative_coordinates(self):
-        doc = parse_polygon("-1 -1\n1 -1\n0 1\n")
-        assert doc.vertices[0] == P(-1, -1)
+        assert parse_polygon("-1 -1\n1 -1\n0 1\n").vertices[0] == P(-1, -1)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="'xml'"):
@@ -104,15 +105,16 @@ class TestParsePlain:
             assert exc_info.value.line == 2
 
     def test_line_separator_stays_in_comment(self):
-        doc = parse_polygon("0 0\n4 0  # note\u2028 9 9\n0 4\n")
-        assert doc.vertices == (P(0, 0), P(4, 0), P(0, 4))
+        poly = parse_polygon("0 0\n4 0  # note\u2028 9 9\n0 4\n")
+        assert poly.vertices == (P(0, 0), P(4, 0), P(0, 4))
 
 
 class TestParseStructured:
     def test_basic(self):
-        doc = parse_polygon("[[0, 0], [2, 0], [2, 2], [0, 2]]")
-        assert doc.format == "structured"
-        assert doc.vertices == (P(0, 0), P(2, 0), P(2, 2), P(0, 2))
+        text = "[[0, 0], [2, 0], [2, 2], [0, 2]]"
+        assert _sniff_format(text, "<input>") == "structured"
+        assert parse_polygon(text) == \
+            LatticePolygon((P(0, 0), P(2, 0), P(2, 2), P(0, 2)))
 
     def test_rejects_floats(self):
         with pytest.raises(PolygonParseError, match="element 1"):
@@ -136,12 +138,15 @@ class TestParseStructured:
         assert exc_info.value.line is not None
 
     def test_auto_sniffs_bracket(self):
-        doc = parse_polygon("  [[0,0],[1,0],[0,1]]")
-        assert doc.format == "structured"
+        assert _sniff_format("  [[0,0],[1,0],[0,1]]", "<input>") == \
+            "structured"
 
     def test_auto_sniffs_json_extension(self):
-        doc = parse_polygon("[[0,0],[1,0],[0,1]]", source="poly.json")
-        assert doc.format == "structured"
+        assert _sniff_format("[[0,0],[1,0],[0,1]]", "poly.json") == \
+            "structured"
+        # the source picks the format even for text that is not JSON
+        with pytest.raises(PolygonParseError):
+            parse_polygon("0 0\n1 0\n0 1\n", source="poly.json")
 
 
 class TestExitCodes:
@@ -398,7 +403,7 @@ class TestOutputs:
         f = tmp_path / "p.txt"
         f.write_text("0 0\n5 0\n6 4\n2 7\n-2 3\n")
         out = self.run(capsys, "pick", str(f))
-        counts = verify_pick(parse_polygon(f.read_text()).polygon)
+        counts = verify_pick(parse_polygon(f.read_text()))
         assert out == (f"interior={counts.interior} "
                        f"boundary={counts.boundary} "
                        f"twice_area={counts.twice_area} OK\n")

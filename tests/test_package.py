@@ -10,6 +10,7 @@ from pathlib import Path
 import latticepick
 
 SOURCES = sorted(Path(latticepick.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_every_listed_name_resolves():
@@ -133,6 +134,28 @@ def unread_parameters(tree: ast.AST) -> list[str]:
     return unread
 
 
+def unread_fields(tree: ast.AST, reads: set[str]) -> list[str]:
+    """The fields, as ``Class.field``, of every ``@dataclass`` class in
+    ``tree`` whose name is not in ``reads``."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        unread += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign)
+                   and isinstance(stmt.target, ast.Name)
+                   and stmt.target.id not in reads]
+    return unread
+
+
+def attribute_reads(tree: ast.AST) -> set[str]:
+    """Every attribute name ``tree`` reads, as in ``obj.name``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_private_name_is_referenced():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in SOURCES}
@@ -163,6 +186,25 @@ def test_dead_code_checks_catch_each_form():
                           "x = math.gcd(1, 2)\n") == ["line 2: Sequence"]
     assert unused_imports("from __future__ import annotations\n"
                           "from .a import b  # noqa: F401\n") == []
+
+
+def test_every_dataclass_field_is_read():
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    reads = set().union(*map(attribute_reads, trees + [
+        ast.parse(path.read_text(), str(path)) for path in TESTS]))
+    assert [field for tree in trees for field in unread_fields(tree, reads)] \
+        == []
+
+
+def test_dead_field_check_catches_each_form():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    kept: int\n    gone: int\n"
+        "    def m(self): return self.kept\n"
+        "@dataclasses.dataclass\nclass B:\n    written: int\n"
+        "class C:\n    plain: int\n"
+        "def f(b): b.written = 1\n")
+    assert unread_fields(tree, attribute_reads(tree)) == \
+        ["A.gone", "B.written"]
 
 
 def test_dead_parameter_check_catches_each_form():

@@ -64,6 +64,12 @@ class TestLatticeTriangle:
         with pytest.raises(DegenerateTriangleError):
             LatticeTriangle.from_points(P(0, 0), P(1, 1), P(2, 2))
 
+    @pytest.mark.parametrize("area", [1.0, True])
+    def test_non_int_area_rejected(self, area):
+        assert LatticeTriangle(P(0, 0), P(1, 0), P(0, 1), 1).twice_area == 1
+        with pytest.raises(InternalInvariantError, match="doubled area"):
+            LatticeTriangle(P(0, 0), P(1, 0), P(0, 1), area)
+
 
 class TestInitialTriangulation:
     def test_unit_square(self):

@@ -22,7 +22,7 @@ from .core import (
     LatticePoint,
     LatticePolygon,
     PolygonError,
-    segment_lattice_points,
+    _edge_lattice_points,
     twice_polygon_area,
     validate_polygon,
 )
@@ -56,6 +56,8 @@ _MAX_BOX_POINTS = 10**8
 _TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
+_COORD = rf"([+-]?[0-9]{{1,{_MAX_DIGITS}}})"
+_VERTEX_LINE = re.compile(rf"[ \t]*{_COORD}[ \t]+{_COORD}[ \t]*\Z")
 _SVG_SCALE = 24  # SVG units per lattice step
 _SVG_MARGIN = 1  # lattice steps of blank border around the bounding box
 
@@ -85,6 +87,15 @@ def _parse_plain(text: str) -> list[LatticePoint]:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
+        # fast path: two signed runs of at most _MAX_DIGITS ASCII digits,
+        # split and padded by spaces and tabs.  _TOKEN splits there too,
+        # so the tokenizing code below would pass the same two tokens
+        # and read the same ints.  Every other line goes to that code,
+        # which reads it or names the line and column of its fault.
+        match = _VERTEX_LINE.match(line)
+        if match:
+            vertices.append(LatticePoint(int(match[1]), int(match[2])))
+            continue
         if not line.strip():
             continue
         tokens = list(_TOKEN.finditer(line))
@@ -168,8 +179,7 @@ def _cmd_area(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _guard_box(poly: LatticePolygon, limit: int) -> None:
-    xs = [v.x for v in poly.vertices]
-    ys = [v.y for v in poly.vertices]
+    xs, ys = zip(*poly.ring)
     count = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
     if count > limit:
         raise _GuardError(f"bounding box holds {count} lattice points, "
@@ -237,8 +247,7 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     SVG text.  The points are the triangles' vertices: the triangles
     tile the polygon and hold no other lattice point.  All emitted
     coordinates are integers, so output is byte-stable."""
-    xs = [v.x for v in poly.vertices]
-    ys = [v.y for v in poly.vertices]
+    xs, ys = zip(*poly.ring)
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
 
@@ -264,11 +273,10 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     for a, b, c, _ in tris:
         lines.append(f'    <polygon points="{text[a]} {text[b]} {text[c]}"/>')
     lines.append("  </g>")
-    outline = " ".join(f"{sx(v.x)},{sy(v.y)}" for v in poly.vertices)
+    outline = " ".join(f"{sx(x)},{sy(y)}" for x, y in poly.ring)
     lines.append(f'  <polygon points="{outline}" fill="none" '
                  f'stroke="#000000" stroke-width="2"/>')
-    on_edge = {(q.x, q.y) for a, b in poly.edges()
-               for q in segment_lattice_points(a, b)}
+    on_edge = {p for points in _edge_lattice_points(poly.ring) for p in points}
     for style, boundary in (('fill="#000000"', True), (
             'fill="#ffffff" stroke="#000000" stroke-width="1"', False)):
         lines.append(f"  <g {style}>")

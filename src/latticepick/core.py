@@ -13,7 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 #: Coordinates beyond this magnitude are rejected when polygons are
 #: built.  The bound keeps the file formats portable to fixed-width
@@ -215,21 +216,25 @@ def _segments_share_point(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
             or (d4 == 0 and _in_box(q2, p1, p2)))
 
 
-def _shoelace(vertices: Sequence[LatticePoint]) -> int:
-    total = 0
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
-    return total
+def _twice_area(ring: Sequence[Point]) -> int:
+    """The shoelace sum of the closed ring ``ring``: its doubled signed
+    area, positive iff it winds counterclockwise."""
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+               in zip(ring, ring[1:] + ring[:1]))
 
 
-def _edge_quads(vertices: Sequence[LatticePoint]) -> list[tuple[int, int, int, int]]:
-    n = len(vertices)
-    return [(vertices[i].x, vertices[i].y,
-             vertices[(i + 1) % n].x, vertices[(i + 1) % n].y)
-            for i in range(n)]
+def _edge_lattice_points(ring: Sequence[Point]) -> Iterator[list[Point]]:
+    """The lattice points of each edge of the closed ring ``ring``, from
+    its start to its end: edge_gcd + 1 of them, evenly spaced."""
+    for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+        k = math.gcd(qx - px, qy - py)
+        sx, sy = (qx - px) // k, (qy - py) // k
+        yield [(px + j * sx, py + j * sy) for j in range(k + 1)]
+
+
+def _edge_quads(ring: Sequence[Point]) -> list[tuple[int, int, int, int]]:
+    return [(x0, y0, x1, y1) for (x0, y0), (x1, y1)
+            in zip(ring, ring[1:] + ring[:1])]
 
 
 def _classify_point(px: int, py: int,
@@ -265,60 +270,84 @@ class LatticePolygon:
     (i, j) order; that is quadratic only when many edges overlap in x
     before that pair.  Use validate_polygon to build one from raw
     vertices of either orientation.
+
+    The polygon carries its vertices as (x, y) int pairs, ``ring``, and
+    its doubled area, ``twice_area``.  Each is computed once, by the
+    validation, and read from then on by every integer kernel; neither
+    takes part in equality or hashing.
     """
 
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        _check_polygon(self.vertices)
+        _check_polygon(self)
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def ring(self) -> tuple[Point, ...]:
+        """The vertices as (x, y) int pairs, in the same order."""
+        return tuple([(v.x, v.y) for v in self.vertices])
+
+    @cached_property
+    def twice_area(self) -> int:
+        """The doubled area by the shoelace sum: a positive int."""
+        return _twice_area(self.ring)
 
     def edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
-def _check_polygon(vs: tuple[LatticePoint, ...]) -> None:
-    n = len(vs)
+def _check_polygon(poly: LatticePolygon) -> None:
+    ring = poly.ring
+    n = len(ring)
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
-    for i, v in enumerate(vs):
-        if abs(v.x) > COORDINATE_LIMIT or abs(v.y) > COORDINATE_LIMIT:
-            raise CoordinateRangeError(
-                f"vertex {i} at {v} exceeds |coordinate| <= 2**31", (i,))
-    pts = [(v.x, v.y) for v in vs]
-    for i in range(n):
-        j = (i + 1) % n
-        if pts[i] == pts[j]:
-            raise RepeatedVertexError(f"vertices {i} and {j} coincide", (i, j))
-    # adjacent edges may be collinear but must not fold back onto each other
-    for i in range(n):
-        (ax, ay), (bx, by), (cx, cy) = pts[i - 1], pts[i], pts[(i + 1) % n]
-        if (bx - ax) * (cy - ay) == (cx - ax) * (by - ay) \
+    # one pass over the ring finds the first vertex out of range, the
+    # first repeated one and the first fold-back (adjacent edges may be
+    # collinear but must not fold back onto each other); they are
+    # reported in that order
+    lim = COORDINATE_LIMIT
+    far = repeat = fold = n
+    for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(
+            zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])):
+        if not (-lim <= bx <= lim and -lim <= by <= lim):
+            far = min(far, i)
+        if bx == cx and by == cy:
+            repeat = min(repeat, i)
+        elif (bx - ax) * (cy - ay) == (cx - ax) * (by - ay) \
                 and (bx - ax) * (cx - bx) + (by - ay) * (cy - by) < 0:
-            raise SelfIntersectionError(
-                f"edge {i} folds back onto edge {(i - 1) % n}",
-                ((i - 1) % n, i))
+            fold = min(fold, i)
+    if far < n:
+        raise CoordinateRangeError(f"vertex {far} at {poly.vertices[far]} "
+                                   "exceeds |coordinate| <= 2**31", (far,))
+    if repeat < n:
+        j = (repeat + 1) % n
+        raise RepeatedVertexError(f"vertices {repeat} and {j} coincide",
+                                  (repeat, j))
+    if fold < n:
+        raise SelfIntersectionError(
+            f"edge {fold} folds back onto edge {(fold - 1) % n}",
+            ((fold - 1) % n, fold))
     # non-adjacent edges must not share any point; the sweep decides,
     # and only on a contact are edge pairs tested to name the first one
-    if _sweep_finds_contact(pts):
-        pair = _first_contact(pts)
+    if _sweep_finds_contact(ring):
+        pair = _first_contact(ring)
         if pair is None:
             raise InternalInvariantError(
                 "the sweep found a contact that the pairwise test did not")
         i, j = pair
         raise SelfIntersectionError(f"edges {i} and {j} intersect", pair)
-    area2 = _shoelace(vs)
-    if area2 == 0:
+    if poly.twice_area == 0:
         raise ZeroAreaError("polygon has zero area")
-    if area2 < 0:
+    if poly.twice_area < 0:
         raise PolygonError("vertices must wind counterclockwise; "
                            "use validate_polygon to normalize orientation")
 
 
-def _sweep_finds_contact(pts: list[Point]) -> bool:
+def _sweep_finds_contact(pts: Sequence[Point]) -> bool:
     """Whether two non-adjacent closed edges of the ring share a point,
     by the Shamos-Hoey sweep (Shamos & Hoey, "Geometric intersection
     problems", FOCS 1976) in exact integers.
@@ -405,7 +434,7 @@ def _sweep_finds_contact(pts: list[Point]) -> bool:
     return False
 
 
-def _first_contact(pts: list[Point]) -> tuple[int, int] | None:
+def _first_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, in (i, j) order, of non-adjacent
     edges of the ring that share a point, or None.
 
@@ -457,17 +486,17 @@ def validate_polygon(vertices: Sequence[LatticePoint]) -> LatticePolygon:
     input so the result always winds counterclockwise.  Raises a
     PolygonError subclass describing the first problem found."""
     vs = tuple(vertices)
-    if len(vs) >= 3 and _shoelace(vs) < 0:
+    if len(vs) >= 3 and _twice_area([(v.x, v.y) for v in vs]) < 0:
         vs = vs[:1] + vs[:0:-1]
     return LatticePolygon(vs)
 
 
 def twice_polygon_area(poly: LatticePolygon) -> int:
-    """Doubled area of the polygon by the shoelace sum; always a
-    positive integer for a validated polygon."""
-    return _shoelace(poly.vertices)
+    """Doubled area of the polygon by the shoelace sum, computed once
+    when it was validated; always a positive integer."""
+    return poly.twice_area
 
 
 def point_in_polygon(p: LatticePoint, poly: LatticePolygon) -> PointLocation:
     """Exact classification of p as interior, boundary, or exterior."""
-    return _classify_point(p.x, p.y, _edge_quads(poly.vertices))
+    return _classify_point(p.x, p.y, _edge_quads(poly.ring))

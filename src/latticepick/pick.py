@@ -4,6 +4,8 @@ boundary_count is a gcd sum over the edges.  interior_count_oracle and
 the triangle counters count interior points edge by edge with one
 Euclid-like floor sum per non-vertical edge, in O(n log C) integer
 work for n edges and coordinates up to C, never touching the area.
+Both polygon counters read the (x, y) int ring that the polygon built
+once, when it was validated, and make no LatticePoint.
 polygon_lattice_points lists the points themselves with one exact
 scan of the edges' crossings row by row, in O(rows * edges + points).
 verify_pick and verify_additivity pit the counts against the shoelace
@@ -23,6 +25,7 @@ from .core import (
     InternalInvariantError,
     LatticePoint,
     LatticePolygon,
+    Point,
     PointLocation,
     PolygonError,
     PreconditionError,
@@ -86,7 +89,9 @@ class AdditivityWitness:
 def boundary_count(poly: LatticePolygon) -> int:
     """Number of lattice points on the polygon boundary: the sum of
     edge gcds, each edge contributing its half-open point count."""
-    return sum(edge_gcd(a, b) for a, b in poly.edges())
+    ring = poly.ring
+    return sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1)
+               in zip(ring, ring[1:] + ring[:1]))
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -108,8 +113,9 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def _interior_count(ring: Sequence[LatticePoint]) -> int:
-    """Interior lattice points of the counterclockwise ring ``ring``.
+def _interior_count(pts: Sequence[Point]) -> int:
+    """Interior lattice points of the counterclockwise ring ``pts`` of
+    (x, y) int pairs.
 
     Nudge every lattice point p to p + (eps, delta) with
     0 < eps << delta << 1.  The nudged points miss every vertex and
@@ -132,7 +138,6 @@ def _interior_count(ring: Sequence[LatticePoint]) -> int:
     shoelace sum plus gcd terms; the Euclid-like route keeps this count
     independent of the area verify_pick checks it against.
     """
-    pts = [(v.x, v.y) for v in ring]
     (px, py), (qx, qy) = pts[-1], pts[0]
     in_x, in_y = qx - px, qy - py
     in_left = in_x > 0 or (in_x == 0 and in_y < 0)
@@ -160,7 +165,7 @@ def interior_count_oracle(poly: LatticePolygon) -> int:
     non-vertical edge (_interior_count), in O(n log C) whatever the
     bounding box, independent of the shoelace area and of the gcd
     boundary sum."""
-    return _interior_count(poly.vertices)
+    return _interior_count(poly.ring)
 
 
 def polygon_lattice_points(poly: LatticePolygon,
@@ -211,7 +216,7 @@ def triangle_lattice_counts(a: LatticePoint, b: LatticePoint, c: LatticePoint,
     """(interior, boundary) lattice-point counts of triangle abc, in
     either orientation, by floor sums and edge gcds in O(log C)."""
     a, b, c, _ = _oriented(a, b, c)
-    return (_interior_count((a, b, c)),
+    return (_interior_count(((a.x, a.y), (b.x, b.y), (c.x, c.y))),
             edge_gcd(a, b) + edge_gcd(b, c) + edge_gcd(c, a))
 
 

@@ -41,6 +41,7 @@ from .core import (
     LatticePolygon,
     Point,
     PreconditionError,
+    _edge_lattice_points,
     _oriented,
     edge_gcd,
     twice_polygon_area,
@@ -186,8 +187,7 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     for good once it is found strictly convex.  The candidates are kept
     sorted by x, and a triangle tests those in its bounding box.
     """
-    vs = poly.vertices
-    pts = [(v.x, v.y) for v in vs]
+    vs, pts = poly.vertices, poly.ring
     n = len(pts)
     prv = [n - 1] + list(range(n - 1))
     nxt = list(range(1, n)) + [0]
@@ -394,10 +394,7 @@ def _certify(poly: LatticePolygon, tris: list[TriangleTuple]) -> None:
     if len(pending) != 3 * len(tris) - 2 * cancelled:
         raise InternalInvariantError("two triangles share a directed edge")
     boundary = set()
-    for p, q in poly.edges():
-        k = edge_gcd(p, q)
-        sx, sy = (q.x - p.x) // k, (q.y - p.y) // k
-        points = [(p.x + j * sx, p.y + j * sy) for j in range(k + 1)]
+    for points in _edge_lattice_points(poly.ring):
         boundary.update(zip(points, points[1:]))
     if pending != boundary:
         raise InternalInvariantError(

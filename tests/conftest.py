@@ -16,13 +16,17 @@ the indexed ear clipper in latticepick.triangulate.  The segment-by-
 segment cut check is kept as the oracle for verify_additivity, which
 decides a cut by validating the two parts it makes.  The scan over all
 candidate split positions is the oracle for the O(1) Bezout
-construction of latticepick.bezout.
+construction of latticepick.bezout.  The fan sum of triangle areas is
+the oracle for the shoelace sum a polygon keeps, and the tokenizing
+reader of the plain format is the oracle for the one-regex fast path
+of latticepick.cli.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import time
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -57,7 +61,8 @@ from latticepick import (
     twice_signed_area,
     validate_polygon,
 )
-from latticepick.core import _classify_point, _edge_quads, _shoelace
+from latticepick.cli import PolygonParseError
+from latticepick.core import _classify_point, _edge_quads
 
 
 def box_scan_points(vertices: Sequence[LatticePoint],
@@ -65,7 +70,7 @@ def box_scan_points(vertices: Sequence[LatticePoint],
     """(interior, boundary) lattice points of the closed ring
     ``vertices`` in row-major order, by classifying every point of its
     bounding box.  O(box * edges): keep inputs small."""
-    quads = _edge_quads(vertices)
+    quads = _edge_quads([(v.x, v.y) for v in vertices])
     xs = [v.x for v in vertices]
     ys = [v.y for v in vertices]
     interior: list[LatticePoint] = []
@@ -102,6 +107,51 @@ def boundary_count_oracle(poly: LatticePolygon) -> int:
     """Boundary lattice points by plain enumeration, for checking the
     gcd sum boundary_count."""
     return len(box_scan_points(poly.vertices)[1])
+
+
+def shoelace_oracle(vertices: Sequence[LatticePoint]) -> int:
+    """Doubled signed area of the closed ring ``vertices``, as the sum
+    of the doubled signed areas of the fan of triangles from its first
+    vertex, for checking the library's shoelace sum."""
+    o = vertices[0]
+    return sum((a.x - o.x) * (b.y - o.y) - (b.x - o.x) * (a.y - o.y)
+               for a, b in zip(vertices[1:], vertices[2:]))
+
+
+_TOKEN = re.compile(r"\S+")
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
+_MAX_DIGITS = 4300
+
+
+def tokenizing_parse_plain(text: str) -> list[LatticePoint]:
+    """The plain format read by splitting every non-blank,
+    comment-stripped line into whitespace-separated tokens and checking
+    each one: the oracle for the one-regex fast path of
+    latticepick.cli._parse_plain, which must give the same vertices or
+    raise the same PolygonParseError, line and column included."""
+    vertices = []
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        tokens = list(_TOKEN.finditer(line))
+        if len(tokens) != 2:
+            raise PolygonParseError(
+                f"expected two integers per vertex line, got {len(tokens)} tokens",
+                line=lineno)
+        coords = []
+        for match in tokens:
+            tok, column = match.group(), match.start() + 1
+            if not _INT_TOKEN.match(tok):
+                raise PolygonParseError(f"non-integer coordinate {tok!r}",
+                                        line=lineno, column=column)
+            if len(tok.lstrip("+-")) > _MAX_DIGITS:
+                raise PolygonParseError(f"coordinate over {_MAX_DIGITS} digits",
+                                        line=lineno, column=column)
+            coords.append(int(tok))
+        vertices.append(LatticePoint(coords[0], coords[1]))
+    return vertices
 
 
 def angular_sort(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -306,7 +356,7 @@ def pairwise_simplicity_oracle(vs: Sequence[LatticePoint]) -> None:
                                      vs[j], vs[(j + 1) % n]):
                 raise SelfIntersectionError(
                     f"edges {i} and {j} intersect", (i, j))
-    area2 = _shoelace(vs)
+    area2 = shoelace_oracle(vs)
     if area2 == 0:
         raise ZeroAreaError("polygon has zero area")
     if area2 < 0:
@@ -342,7 +392,7 @@ def _chord_inside(poly: LatticePolygon, p: LatticePoint,
     # no boundary contact besides the endpoints, so the open segment lies
     # entirely inside or entirely outside; test its midpoint at doubled scale
     doubled = [(2 * x1, 2 * y1, 2 * x2, 2 * y2)
-               for x1, y1, x2, y2 in _edge_quads(poly.vertices)]
+               for x1, y1, x2, y2 in _edge_quads(poly.ring)]
     return _classify_point(p.x + q.x, p.y + q.y, doubled) is PointLocation.INTERIOR
 
 

@@ -34,6 +34,8 @@ from latticepick.cli import (
     render_svg,
 )
 
+from tests.regen_golden import COMMANDS as GOLDEN_COMMANDS, error_contract
+
 P = LatticePoint
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -577,6 +579,15 @@ class TestGoldenCorpus:
         assert main(["svg", str(path), "-o", str(out_file)]) == EXIT_OK
         expected = (GOLDEN / path.stem / "render.svg").read_bytes()
         assert out_file.read_bytes() == expected
+
+    @pytest.mark.parametrize("path", sorted((DATA / "invalid").glob("*")),
+                             ids=lambda p: p.stem)
+    def test_error_contract(self, path, tmp_path):
+        # exit code and stderr; stdout and the svg file stay empty
+        for command in GOLDEN_COMMANDS:
+            expected = GOLDEN / "invalid" / path.stem / f"{command}.txt"
+            assert error_contract(path, command, str(tmp_path)) == \
+                expected.read_text(), f"{command} drifted for {path.name}"
 
     @pytest.mark.parametrize("path", polygon_files(),
                              ids=lambda p: p.stem)

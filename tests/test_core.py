@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -48,6 +49,7 @@ from tests.conftest import (
     random_lattice_polygon,
     random_polyomino,
     sawtooth_ring,
+    shoelace_oracle,
     spiral_cells,
 )
 
@@ -281,6 +283,55 @@ class TestPolygonArea:
         assert twice_polygon_area(moved) == twice_polygon_area(poly)
 
 
+class TestPolygonCache:
+    """The int ring and the doubled area a polygon computes once."""
+
+    @staticmethod
+    def build(seed: int, clockwise: bool) -> tuple[list, LatticePolygon]:
+        rng = random.Random(seed)
+        vs = list(random_lattice_polygon(rng, rng.randint(3, 12), 20).vertices)
+        if clockwise:
+            vs.reverse()
+        return vs, validate_polygon(vs)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           clockwise=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_area_and_ring_match_the_oracles(self, seed, clockwise):
+        vs, poly = self.build(seed, clockwise)
+        assert shoelace_oracle(vs) * (-1 if clockwise else 1) \
+            == twice_polygon_area(poly) == shoelace_oracle(poly.vertices) > 0
+        assert poly.ring == tuple((v.x, v.y) for v in poly.vertices)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           clockwise=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_cache_leaves_equality_and_hash_alone(self, seed, clockwise):
+        _, poly = self.build(seed, clockwise)
+        twice_polygon_area(poly)
+        assert poly.ring
+        fresh = LatticePolygon(poly.vertices)
+        assert poly == fresh and hash(poly) == hash(fresh)
+        assert len({poly, fresh}) == 1 and repr(poly) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(poly)] == ["vertices"]
+
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           clockwise=st.booleans(), tx=coord, ty=coord)
+    @settings(max_examples=40, deadline=None)
+    def test_replace_validates_and_recomputes(self, seed, clockwise, tx, ty):
+        _, poly = self.build(seed, clockwise)
+        area = twice_polygon_area(poly)
+        v = LatticeVector(tx, ty)
+        moved = dataclasses.replace(
+            poly, vertices=tuple(p + v for p in poly.vertices))
+        assert moved.ring == tuple((x + tx, y + ty) for x, y in poly.ring)
+        assert twice_polygon_area(moved) == area
+        with pytest.raises(PolygonError, match="counterclockwise"):
+            dataclasses.replace(poly, vertices=poly.vertices[::-1])
+        with pytest.raises(RepeatedVertexError):
+            dataclasses.replace(poly, vertices=poly.vertices[:1] + poly.vertices)
+
+
 class TestPointInPolygon:
     # concave arrowhead: interior probes must respect the notch
     ARROW = [P(0, 0), P(4, 0), P(4, 4), P(2, 2), P(0, 4)]
@@ -368,6 +419,31 @@ class TestSimplicitySweep:
             outcomes[self.outcome(ring)] += 1
         assert outcomes[None] >= 300
         assert outcomes[SelfIntersectionError] >= 1000
+
+    def test_first_fault_of_the_first_failed_check(self):
+        # vertices out of range, repeated and folded back, planted
+        # anywhere in any mix: the one pass over the ring must report
+        # what the three checks in turn would
+        rng = random.Random(67)
+        outcomes = Counter()
+        for _ in range(600):
+            ring = list(random_lattice_polygon(rng, rng.randint(4, 10),
+                                               9).ring)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(ring))
+                x, y = ring[i]
+                fault = rng.randrange(3)
+                if fault == 0:
+                    ring[i] = (x, rng.choice((-1, 1)) * (COORDINATE_LIMIT + 1))
+                elif fault == 1:
+                    ring.insert(i, (x, y))
+                else:  # back to the vertex before
+                    ring.insert(i + 1, ring[i - 1])
+            [found] = self.same(ring, both=False)
+            outcomes[found and found[0]] += 1
+        assert outcomes[CoordinateRangeError] >= 100
+        assert outcomes[RepeatedVertexError] >= 100
+        assert outcomes[SelfIntersectionError] >= 50
 
     def test_perturbed_rectilinear_rings(self):
         # boundaries of random cell unions, sheared, with one vertex

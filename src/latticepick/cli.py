@@ -14,13 +14,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import TextIO
+from itertools import islice
+from typing import Iterable, Iterator, TextIO
 
 from .core import (
     GeometryError,
     InternalInvariantError,
     LatticePoint,
     LatticePolygon,
+    Point,
     PolygonError,
     _edge_lattice_points,
     twice_polygon_area,
@@ -34,7 +36,12 @@ from .pick import (  # noqa: F401
     polygon_lattice_points,
     verify_pick,
 )
-from .triangulate import TriangleTuple, Triangulation, primitive_triangulation
+from .triangulate import (
+    EventTuple,
+    SplitRule,
+    Triangulation,
+    primitive_triangulation,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -46,13 +53,18 @@ EXIT_INTERNAL = 5
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work, since its triangulation has exactly 2A triangles.
 #: Both hold every triangle in memory; at 2A = 180 000 each triangle
-#: took 9-13 us and 0.5 KB (--events 0.6 KB, svg 0.7 KB) of peak RSS
-#: (CPython 3.11, 2-core x86-64), so an admitted input ends within
-#: about 7 s and 0.4 GB.
+#: took 6.5-10 us and 0.45 KB (--events 0.45 KB, svg 0.73 KB) of peak
+#: RSS (CPython 3.11, 2-core x86-64), so an admitted input ends within
+#: about 5 s and 0.4 GB.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
 _MAX_BOX_POINTS = 10**8
+#: triangulate writes its triangles, then its events, in batches of
+#: this many, one join and one write each.  One join per section was
+#: as fast, but at 2A = 180 000 it raised the peak RSS of --events
+#: from 0.45 to 0.82 KB per triangle.
+_WRITE_BATCH = 4096
 _TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
@@ -212,32 +224,53 @@ def _guard_triangles(poly: LatticePolygon) -> None:
             f"the limit of {_MAX_TRIANGLES}")
 
 
+def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
+    """Write ``lines`` with one join and one write per _WRITE_BATCH of
+    them."""
+    it = iter(lines)
+    while batch := list(islice(it, _WRITE_BATCH)):
+        out.write("".join(batch))
+
+
+def _event_lines(events: Iterable[EventTuple],
+                 text: dict[Point, str]) -> Iterator[str]:
+    """The --events log, one string of lines per event, its points
+    looked up in ``text``; an edge split has two children, an interior
+    split three."""
+    name = {rule: rule.value for rule in SplitRule}
+    for num, ((a, b, c, _), rule, d, children) in enumerate(events, start=1):
+        if len(children) == 2:
+            (a1, b1, c1, _), (a2, b2, c2, _) = children
+            yield (f"event {num} {name[rule]} point {text[d]}\n"
+                   f"  parent {text[a]} {text[b]} {text[c]}\n"
+                   f"  child {text[a1]} {text[b1]} {text[c1]}\n"
+                   f"  child {text[a2]} {text[b2]} {text[c2]}\n")
+        else:
+            (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = children
+            yield (f"event {num} {name[rule]} point {text[d]}\n"
+                   f"  parent {text[a]} {text[b]} {text[c]}\n"
+                   f"  child {text[a1]} {text[b1]} {text[c1]}\n"
+                   f"  child {text[a2]} {text[b2]} {text[c2]}\n"
+                   f"  child {text[a3]} {text[b3]} {text[c3]}\n")
+
+
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     poly = _load(args.file, args.format)
     _guard_triangles(poly)
     result = primitive_triangulation(poly)
     # every point printed is a vertex of a finished triangle, and each
     # appears in several lines: turn each into text once
+    tris = result.triangle_tuples
     points = set()
-    for a, b, c, _ in result.triangle_tuples:
+    for a, b, c, _ in tris:
         points.add(a)
         points.add(b)
         points.add(c)
     text = {p: f"{p[0]} {p[1]}" for p in points}
-
-    def coords(tri: TriangleTuple) -> str:
-        a, b, c, _ = tri
-        return f"{text[a]} {text[b]} {text[c]}"
-
-    for tri in result.triangle_tuples:
-        out.write(coords(tri) + "\n")
+    _write_lines(out, (f"{text[a]} {text[b]} {text[c]}\n"
+                       for a, b, c, _ in tris))
     if args.events:
-        for num, (parent, rule, d, children) in \
-                enumerate(result.event_tuples, start=1):
-            out.write(f"event {num} {rule.value} point {text[d]}\n")
-            out.write(f"  parent {coords(parent)}\n")
-            for child in children:
-                out.write(f"  child {coords(child)}\n")
+        _write_lines(out, _event_lines(result.event_tuples, text))
     return EXIT_OK
 
 

@@ -10,14 +10,17 @@ children's areas, so the process terminates with exactly
 twice_polygon_area unit-doubled-area ("primitive") triangles.
 
 Refinement runs on plain tuples: a triangle is (a, b, c, twice_area)
-with (x, y) points, counterclockwise.  One step, _split, does both
-kinds of split and checks that its children are counterclockwise,
-non-degenerate and cover the parent's area.  The finished list is then
-proved once by _certify, a tiling certificate: the directed edges of
-all triangles, each cancelled against its reverse, leave exactly the
-polygon's counterclockwise primitive boundary edges.  Triangulation
-stores the tuples and builds LatticeTriangle and SplitEvent objects
-only when they are first asked for.
+with (x, y) points, counterclockwise.  One kernel, the generator
+_steps, pops a triangle off a stack that its caller owns, does either
+kind of split inline, checks that the children are counterclockwise,
+non-degenerate and cover the parent's area, pushes them and yields the
+event.  _refine runs it to the end; gcd_edge_split and interior_split
+take one step of it.  The finished list is then proved once by
+_certify, a tiling certificate: the directed edges of all triangles,
+each cancelled against its reverse, leave exactly the polygon's
+counterclockwise primitive boundary edges.  Triangulation stores the
+tuples and builds LatticeTriangle and SplitEvent objects only when
+they are first asked for.
 
 The whole refinement is deterministic: ears are clipped at the first
 eligible vertex in ring order, edges are examined in a fixed order, and
@@ -28,12 +31,13 @@ log.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
+from math import gcd
+from typing import Iterator
 
 from .core import (
     InternalInvariantError,
@@ -55,6 +59,10 @@ from .bezout import _split_offset, interior_split_point, normalize  # noqa: F401
 class SplitRule(Enum):
     EDGE_GCD = "edge-gcd-split"
     INTERIOR_POINT = "interior-point-split"
+
+
+_EDGE_GCD = SplitRule.EDGE_GCD
+_INTERIOR_POINT = SplitRule.INTERIOR_POINT
 
 
 #: (a, b, c, twice_area), counterclockwise
@@ -125,9 +133,9 @@ def _as_triangle(t: TriangleTuple) -> LatticeTriangle:
                            LatticePoint(*c), s)
 
 
-def _event(parent: LatticeTriangle, rule: SplitRule, d: Point,
-           children: tuple[TriangleTuple, ...]) -> SplitEvent:
-    return SplitEvent(parent, rule, LatticePoint(*d),
+def _event(event: EventTuple) -> SplitEvent:
+    parent, rule, d, children = event
+    return SplitEvent(_as_triangle(parent), rule, LatticePoint(*d),
                       tuple(_as_triangle(ch) for ch in children))
 
 
@@ -154,8 +162,7 @@ class Triangulation:
 
     @cached_property
     def events(self) -> tuple[SplitEvent, ...]:
-        return tuple(_event(_as_triangle(parent), rule, d, children)
-                     for parent, rule, d, children in self.event_tuples)
+        return tuple(_event(e) for e in self.event_tuples)
 
 
 def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
@@ -247,50 +254,64 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     return out
 
 
-def _split(a: Point, b: Point, c: Point,
-           s: int) -> tuple[SplitRule, Point, tuple[TriangleTuple, ...]]:
-    """Split the counterclockwise triangle abc of doubled area s > 1.
+def _steps(stack: list[TriangleTuple],
+           done: list[TriangleTuple]) -> Iterator[EventTuple]:
+    """The refinement kernel: pop triangles off ``stack`` until it is
+    empty, move each of doubled area 1 to ``done``, and split each other
+    one, push its children and yield the event.
 
-    Edges are examined in the fixed order ab, bc, ca.  For the first
-    edge PQ whose deltas have gcd k > 1, with O the opposite vertex, the
-    split point is D = ((k-1)*P + Q) / k, the edge lattice point one
-    step from P, and the children are (P, D, O) then (Q, O, D).  With
-    all edges primitive, D is the Bezout point with c as the pivot,
-    which lies strictly inside, and the children are (a, b, D),
-    (a, D, c) then (b, c, D).
+    A triangle abc of doubled area s > 1, counterclockwise, splits at
+    the first edge PQ, in the order ab, bc, ca, whose deltas have gcd
+    k > 1, with O the opposite vertex: the split point is
+    D = ((k-1)*P + Q) / k, the edge lattice point one step from P, and
+    the children are (P, D, O) then (Q, O, D).  With all edges
+    primitive, D is the Bezout point with c as the pivot, which lies
+    strictly inside, and the children are (a, b, D), (a, D, c) then
+    (b, c, D).  The children go on the stack so that the first is
+    popped next.
 
     Each child is checked to be counterclockwise and non-degenerate,
     and their doubled areas to sum to s; anything else raises
     InternalInvariantError.
     """
-    for p, q, o in ((a, b, c), (b, c, a), (c, a, b)):
-        (px, py), (qx, qy) = p, q
-        k = math.gcd(qx - px, qy - py)
-        if k > 1:
-            d = (px + (qx - px) // k, py + (qy - py) // k)
-            rule = SplitRule.EDGE_GCD
-            corners = ((p, d, o), (q, o, d))
-            break
-    else:
+    while stack:
+        tri = stack.pop()
+        a, b, c, s = tri
+        if s == 1:
+            done.append(tri)
+            continue
         (ax, ay), (bx, by), (cx, cy) = a, b, c
-        ox, oy = _split_offset(ax - cx, ay - cy, bx - cx, by - cy, s)
-        d = (cx + ox, cy + oy)
-        rule = SplitRule.INTERIOR_POINT
-        corners = ((a, b, d), (a, d, c), (b, c, d))
-    children = []
-    total = 0
-    for u, v, w in corners:
-        (ux, uy), (vx, vy), (wx, wy) = u, v, w
-        area = (vx - ux) * (wy - uy) - (wx - ux) * (vy - uy)
-        if area <= 0:
+        if (k := gcd(bx - ax, by - ay)) > 1:
+            p, q, o = a, b, c
+        elif (k := gcd(cx - bx, cy - by)) > 1:
+            p, q, o = b, c, a
+        elif (k := gcd(ax - cx, ay - cy)) > 1:
+            p, q, o = c, a, b
+        if k > 1:
+            (px, py), (qx, qy), (ox, oy) = p, q, o
+            dx, dy = px + (qx - px) // k, py + (qy - py) // k
+            s1 = (dx - px) * (oy - py) - (ox - px) * (dy - py)
+            s2 = (ox - qx) * (dy - qy) - (dx - qx) * (oy - qy)
+            rule, d = _EDGE_GCD, (dx, dy)
+            children = (p, d, o, s1), (q, o, d, s2)
+            positive, total = s1 > 0 and s2 > 0, s1 + s2
+        else:
+            dx, dy = _split_offset(ax - cx, ay - cy, bx - cx, by - cy, s)
+            dx, dy = cx + dx, cy + dy
+            s1 = (bx - ax) * (dy - ay) - (dx - ax) * (by - ay)
+            s2 = (dx - ax) * (cy - ay) - (cx - ax) * (dy - ay)
+            s3 = (cx - bx) * (dy - by) - (dx - bx) * (cy - by)
+            rule, d = _INTERIOR_POINT, (dx, dy)
+            children = (a, b, d, s1), (a, d, c, s2), (b, c, d, s3)
+            positive, total = s1 > 0 and s2 > 0 and s3 > 0, s1 + s2 + s3
+        if not positive:
             raise InternalInvariantError(
                 f"{rule.value} at {d} gives a clockwise or degenerate child")
-        total += area
-        children.append((u, v, w, area))
-    if total != s:
-        raise InternalInvariantError(
-            f"{rule.value} at {d}: children do not cover the parent")
-    return rule, d, tuple(children)
+        if total != s:
+            raise InternalInvariantError(
+                f"{rule.value} at {d}: children do not cover the parent")
+        stack += children[::-1]
+        yield tri, rule, d, children
 
 
 def gcd_edge_split(tri: LatticeTriangle) -> SplitEvent | None:
@@ -305,7 +326,7 @@ def gcd_edge_split(tri: LatticeTriangle) -> SplitEvent | None:
     corners = tri.vertices
     if all(edge_gcd(corners[i - 1], corners[i]) == 1 for i in range(3)):
         return None
-    return _event(tri, *_split(*_as_tuple(tri)))
+    return _event(next(_steps([_as_tuple(tri)], [])))
 
 
 def interior_split(tri: LatticeTriangle) -> SplitEvent:
@@ -325,7 +346,7 @@ def interior_split(tri: LatticeTriangle) -> SplitEvent:
             raise PreconditionError(
                 "interior_split requires all edges primitive; "
                 "apply gcd_edge_split first")
-    return _event(tri, *_split(*_as_tuple(tri)))
+    return _event(next(_steps([_as_tuple(tri)], [])))
 
 
 def _refine(poly: LatticePolygon
@@ -336,15 +357,7 @@ def _refine(poly: LatticePolygon
     order and the split log."""
     stack = [_as_tuple(t) for t in reversed(initial_triangulation(poly))]
     done: list[TriangleTuple] = []
-    events: list[EventTuple] = []
-    while stack:
-        tri = stack.pop()
-        if tri[3] == 1:
-            done.append(tri)
-            continue
-        rule, d, children = _split(*tri)
-        events.append((tri, rule, d, children))
-        stack.extend(reversed(children))
+    events = list(_steps(stack, done))
     return done, events
 
 

@@ -16,7 +16,10 @@ the indexed ear clipper in latticepick.triangulate.  The segment-by-
 segment cut check is kept as the oracle for verify_additivity, which
 decides a cut by validating the two parts it makes.  The scan over all
 candidate split positions is the oracle for the O(1) Bezout
-construction of latticepick.bezout.  The fan sum of triangle areas is
+construction of latticepick.bezout, and the split step built on that
+scan, which splits one triangle at a time, is the oracle for the
+refinement kernel of latticepick.triangulate.  The fan sum of triangle
+areas is
 the oracle for the shoelace sum a polygon keeps, and the tokenizing
 reader of the plain format is the oracle for the one-regex fast path
 of latticepick.cli.
@@ -48,11 +51,13 @@ from latticepick import (
     PreconditionError,
     RepeatedVertexError,
     SelfIntersectionError,
+    SplitRule,
     TooFewVerticesError,
     Triangulation,
     ZeroAreaError,
     extended_gcd,
     gcd_edge_split,
+    initial_triangulation,
     point_in_polygon,
     point_on_segment,
     polygon_lattice_points,
@@ -63,6 +68,7 @@ from latticepick import (
 )
 from latticepick.cli import PolygonParseError
 from latticepick.core import _classify_point, _edge_quads
+from latticepick.triangulate import EventTuple, TriangleTuple
 
 
 def box_scan_points(vertices: Sequence[LatticePoint],
@@ -298,6 +304,64 @@ def split_point_scan(a: LatticePoint, b: LatticePoint,
             f"expected exactly one lattice point among the {n} candidate "
             f"positions, found {len(hits)}")
     return hits[0]
+
+
+def split_oracle(a: tuple[int, int], b: tuple[int, int],
+                 c: tuple[int, int], s: int,
+                 ) -> tuple[SplitRule, tuple[int, int], tuple[TriangleTuple, ...]]:
+    """One refinement step on the counterclockwise triangle abc of
+    doubled area s > 1, written apart from the kernel
+    latticepick.triangulate._steps: the first edge PQ, in the order ab,
+    bc, ca, whose deltas have gcd k > 1 splits at the lattice point one
+    step from P, into (P, D, O) and (Q, O, D) with O the opposite
+    vertex; with every edge primitive, abc splits into (a, b, D),
+    (a, D, c) and (b, c, D) at the point D that split_point_scan finds
+    with c as the pivot.  Each child must be counterclockwise and
+    non-degenerate, and their doubled areas must sum to s; anything
+    else raises InternalInvariantError."""
+    for p, q, o in ((a, b, c), (b, c, a), (c, a, b)):
+        k = math.gcd(q[0] - p[0], q[1] - p[1])
+        if k > 1:
+            d = (p[0] + (q[0] - p[0]) // k, p[1] + (q[1] - p[1]) // k)
+            rule, corners = SplitRule.EDGE_GCD, ((p, d, o), (q, o, d))
+            break
+    else:
+        point = split_point_scan(LatticePoint(*a), LatticePoint(*b),
+                                 LatticePoint(*c))
+        d = (point.x, point.y)
+        rule = SplitRule.INTERIOR_POINT
+        corners = ((a, b, d), (a, d, c), (b, c, d))
+    children = tuple(
+        (u, v, w, twice_signed_area(*(LatticePoint(*pt) for pt in (u, v, w))))
+        for u, v, w in corners)
+    if any(ch[3] <= 0 for ch in children):
+        raise InternalInvariantError(
+            f"{rule.value} at {d} gives a clockwise or degenerate child")
+    if sum(ch[3] for ch in children) != s:
+        raise InternalInvariantError(
+            f"{rule.value} at {d}: children do not cover the parent")
+    return rule, d, children
+
+
+def refine_oracle(poly: LatticePolygon,
+                  ) -> tuple[tuple[TriangleTuple, ...], tuple[EventTuple, ...]]:
+    """The finished triangles and the split log of refining the
+    ear-clipped triangles of ``poly`` one split_oracle step at a time,
+    depth-first, children in construction order: what
+    primitive_triangulation must give as triangle_tuples and
+    event_tuples."""
+    stack = [tuple((v.x, v.y) for v in t.vertices) + (t.twice_area,)
+             for t in reversed(initial_triangulation(poly))]
+    done, events = [], []
+    while stack:
+        tri = stack.pop()
+        if tri[3] == 1:
+            done.append(tri)
+            continue
+        rule, d, children = split_oracle(*tri)
+        events.append((tri, rule, d, children))
+        stack.extend(reversed(children))
+    return tuple(done), tuple(events)
 
 
 def _in_box(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:

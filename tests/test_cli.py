@@ -4,6 +4,7 @@ and golden-file comparisons for every subcommand."""
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -551,6 +552,35 @@ print(built.count("latticepick"), len(built))
         assert proc.returncode == 0, proc.stderr
         # the top-level parser once, with its five subcommands
         assert proc.stdout.split() == ["1", "6"]
+
+
+class TestTracerPath:
+    """bench/tracing.py times each layer by swapping a wrapper in for a
+    name in the module that calls it, so the calls must look those
+    names up as module globals, and every name it wraps must exist."""
+
+    def test_triangulate_calls_through_module_globals(self, monkeypatch,
+                                                      capsys):
+        calls = []
+        for module, name in ((cli, "primitive_triangulation"),
+                             (triangulate, "initial_triangulation")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["triangulate", str(DATA / "pentagon.txt"),
+                     "--events"]) == EXIT_OK
+        assert calls == ["primitive_triangulation", "initial_triangulation"]
+        assert capsys.readouterr().out == \
+            (GOLDEN / "pentagon" / "triangulate.txt").read_text()
+
+    def test_every_traced_name_exists(self):
+        path = Path(__file__).parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, name, span in tracing.PATCHES:
+            assert hasattr(importlib.import_module(module_name), name), span
 
 
 class TestGoldenCorpus:

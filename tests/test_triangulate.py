@@ -16,6 +16,7 @@ from latticepick import (
     LatticeTriangle,
     PointLocation,
     PreconditionError,
+    SplitEvent,
     SplitRule,
     closed_triangle_count,
     gcd_edge_split,
@@ -28,8 +29,8 @@ from latticepick import (
     validate_polygon,
 )
 from latticepick import triangulate
-from latticepick.cli import main
-from latticepick.triangulate import _certify, _refine, _split
+from latticepick.cli import EXIT_INTERNAL, main
+from latticepick.triangulate import _certify, _refine
 
 from tests.conftest import (
     cell_ring,
@@ -39,8 +40,10 @@ from tests.conftest import (
     random_lattice_polygon,
     random_polyomino,
     random_splittable_triangle,
+    refine_oracle,
     sawtooth_ring,
     spiral_cells,
+    split_oracle,
 )
 
 P = LatticePoint
@@ -180,6 +183,27 @@ class TestGcdEdgeSplit:
         assert event.point == P(1, 1)
         assert sum(ch.twice_area for ch in event.children) == tri.twice_area
 
+    def test_wrong_step_is_internal_error(self, monkeypatch, tmp_path,
+                                          capsys):
+        # a gcd of 2 for the primitive edge (0,0)-(3,1) puts the split
+        # point at (1, 0), off the edge: both children are
+        # counterclockwise, but their areas 1 and 3 sum to 4, not 3
+        monkeypatch.setattr(triangulate, "gcd", lambda dx, dy: 2)
+        tri = LatticeTriangle.from_points(P(0, 0), P(3, 1), P(0, 1))
+        with pytest.raises(InternalInvariantError,
+                           match="children do not cover the parent"):
+            gcd_edge_split(tri)
+        with pytest.raises(InternalInvariantError,
+                           match="children do not cover the parent"):
+            primitive_triangulation(validate_polygon(list(tri.vertices)))
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n3 1\n0 1\n")
+        assert main(["triangulate", str(f), "--events"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal error: edge-gcd-split at (1, 0): "
+                                "children do not cover the parent\n")
+
     def test_split_point_subdivides_the_edge(self):
         # input is clockwise, so storage swaps v1/v2 and the non-primitive
         # edge is scanned as (6,9) -> (0,0); D sits one gcd step from (6,9)
@@ -214,8 +238,11 @@ class TestInteriorSplit:
         # degenerate child; the Bezout point never does
         monkeypatch.setattr(triangulate, "_split_offset",
                             lambda ux, uy, vx, vy, n: (2 * ux, 2 * uy))
+        tri = LatticeTriangle.from_points(P(0, 0), P(1, 2), P(-1, 1))
         with pytest.raises(InternalInvariantError, match="degenerate child"):
-            _split((0, 0), (1, 2), (-1, 1), 3)
+            interior_split(tri)
+        with pytest.raises(InternalInvariantError, match="degenerate child"):
+            _refine(validate_polygon(list(tri.vertices)))
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200, deadline=None)
@@ -368,8 +395,13 @@ def lines_from_objects(result) -> str:
 class TestCrossCheck:
     def test_cli_matches_materialized_objects(self, tmp_path, capsys):
         rng = random.Random(20140917)
-        for k in range(30):
-            poly = random_lattice_polygon(rng, rng.randint(3, 9), 7)
+        polygons = [random_lattice_polygon(rng, rng.randint(3, 9), 7)
+                    for _ in range(30)]
+        # 2A = 5000 triangles and 4434 events: both sections span
+        # more than one of the CLI's write batches
+        polygons.append(validate_polygon(
+            [P(0, 0), P(50, 0), P(50, 50), P(0, 50)]))
+        for k, poly in enumerate(polygons):
             f = tmp_path / f"p{k}.txt"
             f.write_text("".join(f"{v.x} {v.y}\n" for v in poly.vertices))
             assert main(["triangulate", str(f), "--events"]) == 0
@@ -379,6 +411,9 @@ class TestCrossCheck:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_events_match_public_split_replay(self, seed):
+        # replay the ear clipping with the split oracle of
+        # tests/conftest.py, which shares no code with the kernel, on
+        # LatticeTriangle and SplitEvent objects
         rng = random.Random(seed)
         poly = random_lattice_polygon(rng, rng.randint(3, 9), 7)
         result = primitive_triangulation(poly)
@@ -389,8 +424,74 @@ class TestCrossCheck:
             if tri.twice_area == 1:
                 done.append(tri)
                 continue
-            event = gcd_edge_split(tri) or interior_split(tri)
+            rule, d, children = split_oracle(
+                *((v.x, v.y) for v in tri.vertices), tri.twice_area)
+            event = SplitEvent(tri, rule, P(*d), tuple(
+                LatticeTriangle(P(*u), P(*v), P(*w), s)
+                for u, v, w, s in children))
             events.append(event)
             stack.extend(reversed(event.children))
         assert result.events == tuple(events)
         assert result.triangles == tuple(done)
+
+
+#: GL2(Z) maps (x, y) -> (a x + b y, c x + d y), as (a, b, c, d); the
+#: last two reverse the orientation, which validation undoes
+FRAMES = {
+    "identity": (1, 0, 0, 1),
+    "quarter_turn": (0, -1, 1, 0),
+    "shear": (1, 3, 0, 1),
+    "skew": (2, 1, 1, 1),
+    "mirror": (0, 1, 1, 0),
+    "skew_mirror": (1, 2, 1, 1),
+}
+
+
+def in_frame(vertices, frame):
+    a, b, c, d = frame
+    return validate_polygon([P(a * v.x + b * v.y, c * v.x + d * v.y)
+                             for v in vertices])
+
+
+class TestKernelOracle:
+    """The refinement kernel against refine_oracle (tests/conftest.py),
+    tuple for tuple: the same triangles and the same split log in the
+    same order.  The public one-step splits must give each logged
+    event."""
+
+    def same(self, poly):
+        result = primitive_triangulation(poly)
+        triangles, events = refine_oracle(poly)
+        assert result.triangle_tuples == triangles
+        assert result.event_tuples == events
+        for event in result.events:
+            assert (gcd_edge_split(event.parent)
+                    or interior_split(event.parent)) == event
+
+    @pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES.keys())
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_polygons_in_every_frame(self, frame, seed):
+        rng = random.Random(seed)
+        poly = random_lattice_polygon(rng, rng.randint(3, 9), 5)
+        self.same(in_frame(poly.vertices, frame))
+
+    @pytest.mark.parametrize("side", range(1, 7))
+    def test_squares_down_to_the_unit_square(self, side):
+        # edge splits only; the unit square splits no triangle
+        square = [P(0, 0), P(side, 0), P(side, side), P(0, side)]
+        for frame in FRAMES.values():
+            self.same(in_frame(square, frame))
+
+    def test_primitive_edge_triangles(self):
+        # every edge primitive, so the first split is at the Bezout point
+        fixed = [P(0, 0), P(7, 1), P(3, 8)]
+        rng = random.Random(74)
+        corners = [fixed] + [list(random_splittable_triangle(rng, 6).vertices)
+                             for _ in range(20)]
+        for vertices in corners:
+            for frame in FRAMES.values():
+                poly = in_frame(vertices, frame)
+                assert primitive_triangulation(poly).event_tuples[0][1] \
+                    is SplitRule.INTERIOR_POINT
+                self.same(poly)

@@ -15,9 +15,11 @@ The point is built in O(1), from one Bezout identity and one floor
 division, in the input's own coordinates, in the private integer
 routine _split_offset, which the refinement kernel in triangulate calls
 on plain ints; interior_split_point is the same construction on three
-LatticePoints, with its preconditions checked.  The O(n) scan over all
-n candidate positions, which also proves the point unique, lives with
-the tests as their oracle.
+LatticePoints, with its preconditions checked.  The Bezout pair comes
+from core._euclid, the plain-int Euclid behind extended_gcd, so no
+BezoutResult is built per split.  The O(n) scan over all n candidate
+positions, which also proves the point unique, lives with the tests as
+their oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .core import (
     LatticePoint,
     LatticeVector,
     PreconditionError,
+    _euclid,
     _oriented,
-    extended_gcd,
 )
 
 
@@ -48,9 +50,9 @@ def _split_offset(ux: int, uy: int, vx: int, vy: int,
     lattice point provably lies.
     """
     wx, wy = vx - ux, vy - uy
-    bez = extended_gcd(wy, -wx)             # s*wy - t*wx == 1
-    k = (n - 1) * (ux * bez.t - uy * bez.s) // n
-    return (n - 1) * bez.s - k * wx, (n - 1) * bez.t - k * wy
+    _, s, t = _euclid(wy, -wx)              # s*wy - t*wx == 1
+    k = (n - 1) * (ux * t - uy * s) // n
+    return (n - 1) * s - k * wx, (n - 1) * t - k * wy
 
 
 def _offsets(a: LatticePoint, b: LatticePoint,

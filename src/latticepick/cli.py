@@ -53,9 +53,9 @@ EXIT_INTERNAL = 5
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work, since its triangulation has exactly 2A triangles.
 #: Both hold every triangle in memory; at 2A = 180 000 each triangle
-#: took 6.5-10 us and 0.45 KB (--events 0.45 KB, svg 0.73 KB) of peak
+#: took 4.9-6.2 us and 0.44 KB (--events 0.44 KB, svg 0.71 KB) of peak
 #: RSS (CPython 3.11, 2-core x86-64), so an admitted input ends within
-#: about 5 s and 0.4 GB.
+#: about 3 s and 0.4 GB.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
@@ -237,38 +237,49 @@ def _event_lines(events: Iterable[EventTuple],
     """The --events log, one string of lines per event, its points
     looked up in ``text``; an edge split has two children, an interior
     split three."""
-    name = {rule: rule.value for rule in SplitRule}
+    # keyed by id: hashing an Enum member runs Python code per event
+    name = {id(rule): rule.value for rule in SplitRule}
     for num, ((a, b, c, _), rule, d, children) in enumerate(events, start=1):
         if len(children) == 2:
             (a1, b1, c1, _), (a2, b2, c2, _) = children
-            yield (f"event {num} {name[rule]} point {text[d]}\n"
+            yield (f"event {num} {name[id(rule)]} point {text[d]}\n"
                    f"  parent {text[a]} {text[b]} {text[c]}\n"
                    f"  child {text[a1]} {text[b1]} {text[c1]}\n"
                    f"  child {text[a2]} {text[b2]} {text[c2]}\n")
         else:
             (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = children
-            yield (f"event {num} {name[rule]} point {text[d]}\n"
+            yield (f"event {num} {name[id(rule)]} point {text[d]}\n"
                    f"  parent {text[a]} {text[b]} {text[c]}\n"
                    f"  child {text[a1]} {text[b1]} {text[c1]}\n"
                    f"  child {text[a2]} {text[b2]} {text[c2]}\n"
                    f"  child {text[a3]} {text[b3]} {text[c3]}\n")
 
 
+def _lattice_points(poly: LatticePolygon,
+                    triangulation: Triangulation) -> set[Point]:
+    """The lattice points of ``poly``, the vertices of its primitive
+    triangles: each is a ring vertex or the split point of an event.
+    Raises InternalInvariantError unless they are Pick's
+    i + u = (2A + u + 2) / 2 points, so a lost split point stops the
+    run before any output."""
+    points = set(poly.ring)
+    points.update([d for _, _, d, _ in triangulation.event_tuples])
+    expected = (twice_polygon_area(poly) + boundary_count(poly) + 2) // 2
+    if len(points) != expected:
+        raise InternalInvariantError(f"{len(points)} ring and split points, "
+                                     f"not Pick's i + u = {expected}")
+    return points
+
+
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     poly = _load(args.file, args.format)
     _guard_triangles(poly)
     result = primitive_triangulation(poly)
-    # every point printed is a vertex of a finished triangle, and each
-    # appears in several lines: turn each into text once
-    tris = result.triangle_tuples
-    points = set()
-    for a, b, c, _ in tris:
-        points.add(a)
-        points.add(b)
-        points.add(c)
-    text = {p: f"{p[0]} {p[1]}" for p in points}
+    # each point printed appears in several lines: turn each into text
+    # once
+    text = {p: f"{p[0]} {p[1]}" for p in _lattice_points(poly, result)}
     _write_lines(out, (f"{text[a]} {text[b]} {text[c]}\n"
-                       for a, b, c, _ in tris))
+                       for a, b, c, _ in result.triangle_tuples))
     if args.events:
         _write_lines(out, _event_lines(result.event_tuples, text))
     return EXIT_OK
@@ -277,9 +288,11 @@ def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
 def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     """Render the polygon, its primitive triangulation, and its lattice
     points (boundary filled, interior hollow, by y then x) as standalone
-    SVG text.  The points are the triangles' vertices: the triangles
-    tile the polygon and hold no other lattice point.  All emitted
-    coordinates are integers, so output is byte-stable."""
+    SVG text.  The points are the triangles' vertices, since the
+    triangles tile the polygon and hold no other lattice point; each is
+    a ring vertex or an event's split point, and they are taken from
+    there.  All emitted coordinates are integers, so output is
+    byte-stable."""
     xs, ys = zip(*poly.ring)
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
@@ -299,11 +312,10 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
         '  <g fill="none" stroke="#999999" stroke-width="1">',
     ]
     # scale and format each point once: it is a vertex of many triangles
-    tris = triangulation.triangle_tuples
-    points = sorted({p for a, b, c, _ in tris for p in (a, b, c)},
+    points = sorted(_lattice_points(poly, triangulation),
                     key=lambda p: (p[1], p[0]))
     text = {p: f"{sx(p[0])},{sy(p[1])}" for p in points}
-    for a, b, c, _ in tris:
+    for a, b, c, _ in triangulation.triangle_tuples:
         lines.append(f'    <polygon points="{text[a]} {text[b]} {text[c]}"/>')
     lines.append("  </g>")
     outline = " ".join(f"{sx(x)},{sy(y)}" for x, y in poly.ring)

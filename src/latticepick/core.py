@@ -145,16 +145,16 @@ def _oriented(a: LatticePoint, b: LatticePoint, c: LatticePoint,
     return (a, b, c, s) if s > 0 else (a, c, b, -s)
 
 
-def extended_gcd(p: int, q: int) -> BezoutResult:
-    """Greatest common divisor with Bezout coefficients, p*s + q*t == g.
+def _euclid(p: int, q: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(p, q) and p*s + q*t == g, as plain ints.
 
-    The coefficients are canonical: the two-row iterative scheme runs on
-    (|p|, |q|) and the signs are folded back afterwards, so equal inputs
-    always produce identical output and the returned |s| is the smallest
-    among valid coefficient pairs.  gcd(0, 0) is 0 with s = t = 0.
+    The two-row iterative scheme runs on (|p|, |q|) and the signs are
+    folded back afterwards, so equal inputs always produce identical
+    output and the returned |s| is the smallest among valid coefficient
+    pairs.  gcd(0, 0) is 0 with s = t = 0.
     """
     if p == 0 and q == 0:
-        return BezoutResult(0, 0, 0)
+        return 0, 0, 0
     r0, r1 = abs(p), abs(q)
     s0, s1 = 1, 0
     t0, t1 = 0, 1
@@ -163,7 +163,13 @@ def extended_gcd(p: int, q: int) -> BezoutResult:
         r0, r1 = r1, r0 - quot * r1
         s0, s1 = s1, s0 - quot * s1
         t0, t1 = t1, t0 - quot * t1
-    return BezoutResult(r0, -s0 if p < 0 else s0, -t0 if q < 0 else t0)
+    return r0, -s0 if p < 0 else s0, -t0 if q < 0 else t0
+
+
+def extended_gcd(p: int, q: int) -> BezoutResult:
+    """Greatest common divisor with Bezout coefficients, p*s + q*t == g:
+    the canonical ones of _euclid."""
+    return BezoutResult(*_euclid(p, q))
 
 
 def edge_gcd(a: LatticePoint, b: LatticePoint) -> int:

@@ -368,16 +368,16 @@ def _certify(poly: LatticePolygon, tris: list[TriangleTuple]) -> None:
     Every triangle must be counterclockwise with doubled area 1,
     recomputed from its vertices, and there must be
     twice_polygon_area(poly) of them.  Each directed edge cancels a
-    pending copy of its reverse or waits for one; what is left must be
-    exactly the polygon's counterclockwise primitive boundary edges.
-    The triangles then sum, as a 2-chain, to the polygon: every point
-    off the edges lies in exactly one triangle, so there is no overlap
-    and no gap.
+    pending copy of its reverse or waits for one, in a dict probed once
+    per edge; what is left must be exactly the polygon's
+    counterclockwise primitive boundary edges.  The triangles then sum,
+    as a 2-chain, to the polygon: every point off the edges lies in
+    exactly one triangle, so there is no overlap and no gap.
     """
     if len(tris) != twice_polygon_area(poly):
         raise InternalInvariantError(
             "triangle count must equal the doubled polygon area")
-    pending: set[tuple[Point, Point]] = set()
+    pending: dict[tuple[Point, Point], bool] = {}
     cancelled = 0
     for a, b, c, _ in tris:
         (ax, ay), (bx, by), (cx, cy) = a, b, c
@@ -387,29 +387,26 @@ def _certify(poly: LatticePolygon, tris: list[TriangleTuple]) -> None:
                 "of doubled area 1")
         # unrolled over the edges ab, bc, ca: this loop runs once per
         # output triangle
-        if (b, a) in pending:
-            pending.remove((b, a))
+        if pending.pop((b, a), False):
             cancelled += 1
         else:
-            pending.add((a, b))
-        if (c, b) in pending:
-            pending.remove((c, b))
+            pending[a, b] = True
+        if pending.pop((c, b), False):
             cancelled += 1
         else:
-            pending.add((b, c))
-        if (a, c) in pending:
-            pending.remove((a, c))
+            pending[b, c] = True
+        if pending.pop((a, c), False):
             cancelled += 1
         else:
-            pending.add((c, a))
-    # an add that found its edge already pending was lost; the set
+            pending[c, a] = True
+    # an add that found its edge already pending was lost; the dict
     # then no longer holds the edge sum
     if len(pending) != 3 * len(tris) - 2 * cancelled:
         raise InternalInvariantError("two triangles share a directed edge")
     boundary = set()
     for points in _edge_lattice_points(poly.ring):
         boundary.update(zip(points, points[1:]))
-    if pending != boundary:
+    if pending.keys() != boundary:
         raise InternalInvariantError(
             "triangle edges do not cancel to the polygon boundary")
 

@@ -7,6 +7,7 @@ import ast
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from latticepick.cli import (
     render_svg,
 )
 
-from tests.regen_golden import COMMANDS as GOLDEN_COMMANDS, error_contract
+from tests.regen_golden import COMMANDS as GOLDEN_COMMANDS, check, error_contract
 
 P = LatticePoint
 DATA = Path(__file__).parent / "data"
@@ -354,6 +355,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("internal error: ")
 
+    @pytest.mark.parametrize("command", ["triangulate", "svg"])
+    def test_lost_split_point_is_internal_error(self, command, tmp_path,
+                                                monkeypatch, capsys):
+        # the triangles still pass the certificate, but the point text
+        # is built from the ring and the split log, which now lacks the
+        # side-2 square's edge midpoints and centre
+        refine = triangulate._refine
+        monkeypatch.setattr(triangulate, "_refine",
+                            lambda poly: (refine(poly)[0], []))
+        f = tmp_path / "p.txt"
+        f.write_text("0 0\n2 0\n2 2\n0 2\n")
+        out_file = tmp_path / "p.svg"
+        argv = [command, str(f)] + (["-o", str(out_file)]
+                                    if command == "svg" else ["--events"])
+        assert main(argv) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal error: 4 ring and split points, "
+                                "not Pick's i + u = 9\n")
+        assert not out_file.exists()
+
 
 class TestOutputs:
     def run(self, capsys, *argv) -> str:
@@ -627,6 +649,23 @@ class TestGoldenCorpus:
                          .removeprefix("twice_area="))
         assert main(["triangulate", str(path)]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == twice_area
+
+
+class TestGoldenCheck:
+    def test_goldens_are_current(self):
+        assert check() == []
+
+    def test_names_each_differing_missing_and_extra_file(self, tmp_path):
+        golden = tmp_path / "golden"
+        shutil.copytree(GOLDEN, golden)
+        (golden / "pentagon" / "area.txt").write_text("twice_area=0\n")
+        (golden / "sliver" / "render.svg").unlink()
+        (golden / "star" / "stray.txt").write_text("")
+        assert check(golden) == [
+            f"differs: {golden / 'pentagon' / 'area.txt'}",
+            f"missing: {golden / 'sliver' / 'render.svg'}",
+            f"extra: {golden / 'star' / 'stray.txt'}",
+        ]
 
 
 README = Path(__file__).parents[1] / "README.md"

@@ -27,8 +27,9 @@ from latticepick import (
     twice_polygon_area,
     twice_signed_area,
     validate_polygon,
+    verify_pick,
 )
-from latticepick import triangulate
+from latticepick import core, triangulate
 from latticepick.cli import EXIT_INTERNAL, main
 from latticepick.triangulate import _certify, _refine
 
@@ -370,7 +371,11 @@ class TestCertificate:
          "directed edge|polygon boundary"),
         (lambda ts: [((40, 40), (41, 40), (40, 41), 1)] + ts[1:],
          "polygon boundary"),
-    ], ids=["drop", "duplicate", "reverse", "move_vertex", "outside"])
+        # count and unit areas hold; the second copy's adds find their
+        # edges already pending, which only the size equation sees
+        (lambda ts: ts[:1] + ts[:1] + ts[2:], "directed edge"),
+    ], ids=["drop", "duplicate", "reverse", "move_vertex", "outside",
+            "copy"])
     def test_rejects_a_corrupted_tiling(self, corrupt, caught_by):
         tris, _ = _refine(PENTAGON)
         with pytest.raises(InternalInvariantError, match=caught_by):
@@ -495,3 +500,54 @@ class TestKernelOracle:
                 assert primitive_triangulation(poly).event_tuples[0][1] \
                     is SplitRule.INTERIOR_POINT
                 self.same(poly)
+
+
+class TestVertexSource:
+    """Every triangle vertex is a ring vertex or an event's split
+    point, and there are Pick's i + u of them: the command line builds
+    its point text from the ring and the split log alone."""
+
+    def same(self, poly):
+        result = primitive_triangulation(poly)
+        vertices = {p for a, b, c, _ in result.triangle_tuples
+                    for p in (a, b, c)}
+        assert set(poly.ring) | {d for _, _, d, _ in result.event_tuples} \
+            == vertices
+        counts = verify_pick(poly)
+        assert len(vertices) == counts.interior + counts.boundary
+
+    @pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES.keys())
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_random_polygons_in_every_frame(self, frame, seed):
+        rng = random.Random(seed)
+        poly = random_lattice_polygon(rng, rng.randint(3, 9), 5)
+        self.same(in_frame(poly.vertices, frame))
+
+    @pytest.mark.parametrize("side", range(1, 7))
+    def test_squares(self, side):
+        square = [P(0, 0), P(side, 0), P(side, side), P(0, side)]
+        for frame in FRAMES.values():
+            self.same(in_frame(square, frame))
+
+
+class TestNoBezoutResult:
+    def test_refinement_builds_none(self, monkeypatch):
+        # the kernel's Bezout step runs on plain ints; extended_gcd
+        # would build a core.BezoutResult per interior split
+        built = []
+
+        class Counting(core.BezoutResult):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(core, "BezoutResult", Counting)
+        assert core.extended_gcd(4, 6).g == 2 and len(built) == 1
+        built.clear()
+        poly = validate_polygon([P(0, 0), P(37, 1), P(14, 29)])
+        assert twice_polygon_area(poly) >= 1000
+        result = primitive_triangulation(poly)
+        assert result.event_tuples[0][1] is SplitRule.INTERIOR_POINT
+        assert len(result.triangle_tuples) == twice_polygon_area(poly)
+        assert built == []

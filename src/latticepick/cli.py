@@ -52,10 +52,15 @@ EXIT_INTERNAL = 5
 
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work, since its triangulation has exactly 2A triangles.
-#: Both hold every triangle in memory; at 2A = 180 000 each triangle
-#: took 4.9-6.2 us and 0.44 KB (--events 0.44 KB, svg 0.71 KB) of peak
-#: RSS (CPython 3.11, 2-core x86-64), so an admitted input ends within
-#: about 3 s and 0.4 GB.
+#: Both hold every triangle in memory; at 2A = 180 000 (a square) the
+#: refinement took 4.9-6.2 us and 0.44 KB (--events 0.44 KB, svg
+#: 0.71 KB) of peak RSS per triangle (CPython 3.11, 2-core x86-64).
+#: That counts the refinement only, and many vertices cost more: end
+#: to end, in a fresh process with stdout to /dev/null, triangulate took
+#: 10.7-12.1 s and 434 MB on the admitted comb of 220 000 vertices
+#: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624), 5.2 s
+#: of it ear clipping and 1.9 s reading and validating.  So not every
+#: admitted input ends within 3 s.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
@@ -296,37 +301,37 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     xs, ys = zip(*poly.ring)
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
-
-    def sx(x: int) -> int:
-        return (x - xmin + _SVG_MARGIN) * _SVG_SCALE
-
-    def sy(y: int) -> int:
-        return (ymax - y + _SVG_MARGIN) * _SVG_SCALE
-
     width = (xmax - xmin + 2 * _SVG_MARGIN) * _SVG_SCALE
     height = (ymax - ymin + 2 * _SVG_MARGIN) * _SVG_SCALE
     radius = max(2, _SVG_SCALE // 6)
+    # each point is a vertex of many triangles and the centre of one
+    # circle: scale and format its coordinates once, and sort its circle
+    # into boundary or interior in the same pass
+    on_edge = {p for points in _edge_lattice_points(poly.ring) for p in points}
+    text: dict[Point, str] = {}
+    circles: tuple[list[str], list[str]] = ([], [])
+    for p in sorted(_lattice_points(poly, triangulation),
+                    key=lambda p: (p[1], p[0])):
+        x = str((p[0] - xmin + _SVG_MARGIN) * _SVG_SCALE)
+        y = str((ymax - p[1] + _SVG_MARGIN) * _SVG_SCALE)
+        text[p] = f"{x},{y}"
+        circles[p not in on_edge].append(
+            f'    <circle cx="{x}" cy="{y}" r="{radius}"/>')
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width}" height="{height}">',
         '  <g fill="none" stroke="#999999" stroke-width="1">',
     ]
-    # scale and format each point once: it is a vertex of many triangles
-    points = sorted(_lattice_points(poly, triangulation),
-                    key=lambda p: (p[1], p[0]))
-    text = {p: f"{sx(p[0])},{sy(p[1])}" for p in points}
     for a, b, c, _ in triangulation.triangle_tuples:
         lines.append(f'    <polygon points="{text[a]} {text[b]} {text[c]}"/>')
     lines.append("  </g>")
-    outline = " ".join(f"{sx(x)},{sy(y)}" for x, y in poly.ring)
+    outline = " ".join(text[p] for p in poly.ring)
     lines.append(f'  <polygon points="{outline}" fill="none" '
                  f'stroke="#000000" stroke-width="2"/>')
-    on_edge = {p for points in _edge_lattice_points(poly.ring) for p in points}
-    for style, boundary in (('fill="#000000"', True), (
-            'fill="#ffffff" stroke="#000000" stroke-width="1"', False)):
+    for style, group in zip(('fill="#000000"', 'fill="#ffffff" stroke="#000000" '
+                             'stroke-width="1"'), circles):
         lines.append(f"  <g {style}>")
-        lines += [f'    <circle cx="{sx(x)}" cy="{sy(y)}" r="{radius}"/>'
-                  for x, y in points if ((x, y) in on_edge) == boundary]
+        lines += group
         lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

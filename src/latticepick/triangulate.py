@@ -22,6 +22,11 @@ counterclockwise primitive boundary edges.  Triangulation stores the
 tuples and builds LatticeTriangle and SplitEvent objects only when
 they are first asked for.
 
+Ear clipping tests a candidate ear against the vertices that could
+block it, in its x-range, or, on the sliver fans where that range holds
+most of them, row by row in a reduced lattice frame; both tests are
+exact integer tests, so either finds the same ears.
+
 The whole refinement is deterministic: ears are clipped at the first
 eligible vertex in ring order, edges are examined in a fixed order, and
 children are processed depth-first in construction order.  Re-running
@@ -37,7 +42,7 @@ from enum import Enum
 from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     InternalInvariantError,
@@ -165,6 +170,113 @@ class Triangulation:
         return tuple(_event(e) for e in self.event_tuples)
 
 
+#: an ear test scans the candidates in its x-range as long as they are
+#: this few; past that it may read the row index instead.  A row costs
+#: about as much as 6 candidates and a row test's setup about 11 (CPython
+#: 3.11, 2-core x86-64), so below this the index does not pay
+_ROW_SCAN_MIN = 16
+
+
+def _row_frame(pts: Sequence[Point]) -> tuple[Point, Point]:
+    """An integer frame (f, g) of determinant +1 in which the points
+    ``pts`` (not all on one line) spread least along f.
+
+    Lagrange-Gauss reduction of the integer scatter form
+    Q(f) = n * sum((f . p)^2) - (sum(f . p))^2, which is positive
+    definite, returns a reduced basis with Q(f) <= Q(g), f a shortest
+    vector.  g is negated if needed so that f[0] * g[1] - f[1] * g[0]
+    is +1, which keeps counterclockwise triangles counterclockwise.
+    """
+    n = len(pts)
+    sx = sum(x for x, _ in pts)
+    sy = sum(y for _, y in pts)
+    qxx = n * sum(x * x for x, _ in pts) - sx * sx
+    qxy = n * sum(x * y for x, y in pts) - sx * sy
+    qyy = n * sum(y * y for _, y in pts) - sy * sy
+
+    def form(u: Point, v: Point) -> int:
+        return qxx * u[0] * v[0] + qxy * (u[0] * v[1] + u[1] * v[0]) \
+            + qyy * u[1] * v[1]
+
+    f, g = ((1, 0), (0, 1)) if qxx <= qyy else ((0, 1), (1, 0))
+    qf = form(f, f)
+    while True:
+        # g minus the nearest integer multiple of f
+        mu = (2 * form(f, g) + qf) // (2 * qf)
+        g = (g[0] - mu * f[0], g[1] - mu * f[1])
+        qg = form(g, g)
+        if qg >= qf:
+            break
+        f, g, qf = g, f, qg
+    if f[0] * g[1] - f[1] * g[0] < 0:
+        g = (-g[0], -g[1])
+    return f, g
+
+
+def _row_index(pts: Sequence[Point], candidate: list[bool]
+               ) -> tuple[list[Point], dict[int, list[int]]]:
+    """The points ``pts`` in the frame (F, G) of _row_frame, and the
+    sorted G of the candidates by their F."""
+    (f0, f1), (g0, g1) = _row_frame(pts)
+    fg = [(f0 * x + f1 * y, g0 * x + g1 * y) for x, y in pts]
+    rows: dict[int, list[int]] = {}
+    for j, (f, g) in enumerate(fg):
+        if candidate[j]:
+            rows.setdefault(f, []).append(g)
+    for row in rows.values():
+        row.sort()
+    return fg, rows
+
+
+def _row_hit(rows: dict[int, list[int]], a: Point, b: Point,
+             c: Point) -> bool:
+    """Whether a point of ``rows`` other than a and c lies in the closed
+    counterclockwise triangle abc, all in frame coordinates (F, G):
+    ``rows`` maps F to the sorted G of its points.
+
+    Each row F = r of the triangle holds the G of one closed interval,
+    from its lower boundary to its upper one, whose integer part
+    [ceil, floor] is exact in integer floor division.  Sorted by F as
+    u, v, w, the long edge uw bounds every row on one side and the short
+    edges uv (rows before v) and vw (rows from v on) on the other; the
+    short side is the lower one when u, v, w is counterclockwise.
+    """
+    # rotate so u has the least F, keeping the order counterclockwise
+    if b[0] < a[0] and b[0] <= c[0]:
+        u, p, q = b, c, a
+    elif c[0] < a[0] and c[0] < b[0]:
+        u, p, q = c, a, b
+    else:
+        u, p, q = a, b, c
+    # w has the most F; the short side is the lower one when u, v, w
+    # stays counterclockwise, that is when v is p
+    if p[0] >= q[0]:
+        (fu, gu), (fv, gv), (fw, gw), short_low = u, q, p, False
+    else:
+        (fu, gu), (fv, gv), (fw, gw), short_low = u, p, q, True
+    for r in range(fu, fw + 1):
+        row = rows.get(r)
+        if not row:
+            continue
+        # each side's G at row r as a fraction n / d, d > 0
+        n1, d1 = gu * (fw - r) + gw * (r - fu), fw - fu
+        if r < fv:
+            n2, d2 = gu * (fv - r) + gv * (r - fu), fv - fu
+        elif fv < fw:
+            n2, d2 = gv * (fw - r) + gw * (r - fv), fw - fv
+        else:
+            n2, d2 = gv, 1
+        if short_low:
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        top = n2 // d2
+        i = bisect_left(row, -(-n1 // d1))
+        while i < len(row) and row[i] <= top:
+            if (r, row[i]) != a and (r, row[i]) != c:
+                return True
+            i += 1
+    return False
+
+
 def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     """Ear-clip ``poly`` into len(poly) - 2 triangles on its own
     vertices.
@@ -191,8 +303,19 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     direction to b and is at least 180 degrees.  Hence only vertices
     that are not strictly convex are candidate blockers.  A clip only
     narrows its neighbours' angles, so a vertex leaves the candidates
-    for good once it is found strictly convex.  The candidates are kept
-    sorted by x, and a triangle tests those in its bounding box.
+    for good once it is found strictly convex.
+
+    The candidates are kept sorted by x, and a triangle tests those in
+    its x-range.  On a sliver fan that range holds most of them for
+    every ear, which made clipping quadratic.  So the candidates are
+    also indexed by rows in the frame of _row_frame, where a fan's
+    slivers span a row or two, and a triangle whose x-range holds more
+    candidates than it has rows, and more than _ROW_SCAN_MIN, reads
+    the exact interval of each of its rows instead (_row_hit).  The
+    frame has determinant +1, so containment and orientation are the
+    same in it and the ears do not change.  The index is built, in
+    O(n log n), once the long x-range scans have visited n candidates,
+    so polygons that never need it never pay for it.
     """
     vs, pts = poly.vertices, poly.ring
     n = len(pts)
@@ -202,9 +325,15 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
                  for (ax, ay), (bx, by), (cx, cy)
                  in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
     by_x = sorted([(x, y, i) for i, (x, y) in enumerate(pts) if candidate[i]])
+    # the row index of _row_index, built once the long x-range scans
+    # have visited n candidates
+    fg: list[Point] = []
+    rows: dict[int, list[int]] = {}
+    scanned = 0
 
     def ear_area(b: int) -> int:
         """The doubled area of b's triangle if b is an ear, else 0."""
+        nonlocal fg, rows, scanned
         a, c = prv[b], nxt[b]
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
         area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
@@ -213,17 +342,31 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
         if candidate[b]:
             candidate[b] = False
             del by_x[bisect_left(by_x, (bx, by, b))]
+            if fg:
+                row = rows[fg[b][0]]
+                del row[bisect_left(row, fg[b][1])]
+        lo = bisect_left(by_x, (min(ax, bx, cx),))
+        hi = bisect_left(by_x, (max(ax, bx, cx) + 1,), lo)
+        if fg and hi - lo > _ROW_SCAN_MIN:
+            fa, fb, fc = fg[a][0], fg[b][0], fg[c][0]
+            if hi - lo > max(fa, fb, fc) - min(fa, fb, fc) + 1:
+                return 0 if _row_hit(rows, fg[a], fg[b], fg[c]) else area
         ymin, ymax = min(ay, by, cy), max(ay, by, cy)
-        for k in range(bisect_left(by_x, (min(ax, bx, cx),)),
-                       bisect_left(by_x, (max(ax, bx, cx) + 1,))):
+        for k in range(lo, hi):
             px, py, j = by_x[k]
             if py < ymin or py > ymax or j == a or j == c:
                 continue
             if (bx - ax) * (py - ay) >= (px - ax) * (by - ay) \
                     and (cx - bx) * (py - by) >= (px - bx) * (cy - by) \
                     and (ax - cx) * (py - cy) >= (px - cx) * (ay - cy):
-                return 0
-        return area
+                break
+        else:
+            k = hi
+        if not fg and hi - lo > _ROW_SCAN_MIN:
+            scanned += k - lo
+            if scanned > n:
+                fg, rows = _row_index(pts, candidate)
+        return area if k == hi else 0
 
     unknown = list(range(n))  # sorted, so already a heap
     queued = [True] * n

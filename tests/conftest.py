@@ -632,3 +632,14 @@ def comb_ring(rng: random.Random, teeth: int) -> list[tuple[int, int]]:
         if i:
             ring += [(2 * i, 1), (2 * i - 1, 1)]
     return ring
+
+
+def staircase_ring(rng: random.Random, steps: int) -> list[tuple[int, int]]:
+    """Staircase band climbing up and to the right with random step
+    lengths; the upper chain is the lower one shifted by (-1, 1)."""
+    lower = [(0, 0)]
+    x = 0
+    for y in range(steps):
+        x += rng.randint(1, 2)
+        lower += [(x, y), (x, y + 1)]
+    return lower + [(px - 1, py + 1) for px, py in reversed(lower)]

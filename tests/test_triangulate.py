@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -31,7 +32,7 @@ from latticepick import (
 )
 from latticepick import core, triangulate
 from latticepick.cli import EXIT_INTERNAL, main
-from latticepick.triangulate import _certify, _refine
+from latticepick.triangulate import _certify, _refine, _row_frame, _row_hit
 
 from tests.conftest import (
     cell_ring,
@@ -45,6 +46,7 @@ from tests.conftest import (
     sawtooth_ring,
     spiral_cells,
     split_oracle,
+    staircase_ring,
 )
 
 P = LatticePoint
@@ -162,6 +164,125 @@ class TestEarClipOracle:
                                           rng.choice((3, 6, 20)))
             ring = [(v.x, v.y) for v in poly.vertices]
             self.same(ring, start=rng.randrange(len(ring)))
+
+    @pytest.mark.parametrize("frame", [(2, 1, 1, 1), (0, -1, 1, 0),
+                                       (1, 3, 0, 1)])
+    @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase"])
+    def test_sliver_families_in_lattice_frames(self, shape, frame):
+        # the shapes of the many_vertices benchmark under
+        # (x, y) -> (2x + y, x + y), (-y, x) and (x + 3y, y); the combs'
+        # fans (and the turned sawtooth's) are tested in the row index,
+        # in the frame it reduces to
+        rng = random.Random(74)
+        ring = {"sawtooth": lambda: sawtooth_ring(rng, 150),
+                "comb": lambda: comb_ring(rng, 100),
+                "staircase": lambda: staircase_ring(rng, 124)}[shape]()
+        a, b, c, d = frame
+        self.same([(a * x + b * y, c * x + d * y) for x, y in ring])
+
+    @pytest.mark.parametrize("turn", [1, -1])
+    def test_blocker_at_both_ends_of_a_row_interval(self, turn, monkeypatch):
+        # a polyomino boundary (seeded random_polyomino of 60 cells) and
+        # its half-turn; the row frame is (x, y) itself.  The ear
+        # (-6, 1), (4, -1), (4, 0) is tested in the rows and blocked
+        # only by the reflex vertex (3, 0), whose row x = 3 holds
+        # y in [-0.8, 0.1], so the integer interval [0, 0] ends at it on
+        # both sides (after the half-turn: [-0.1, 0.8])
+        ring = [(-6, 0), (-5, 0), (-5, -1), (-4, -1), (-4, -2), (-4, -3),
+                (-3, -3), (-2, -3), (-2, -4), (-2, -5), (-1, -5), (-1, -4),
+                (-1, -3), (0, -3), (0, -4), (1, -4), (1, -3), (2, -3),
+                (2, -2), (3, -2), (4, -2), (4, -1), (4, 0), (3, 0), (3, 1),
+                (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (1, 3), (1, 4),
+                (1, 5), (0, 5), (-1, 5), (-2, 5), (-3, 5), (-4, 5), (-5, 5),
+                (-6, 5), (-6, 4), (-5, 4), (-4, 4), (-4, 3), (-5, 3), (-5, 2),
+                (-5, 1), (-6, 1)]
+        ring = [(turn * x, turn * y) for x, y in ring]
+        tested = []
+
+        def row_hit(rows, a, b, c):
+            tested.append(((a, b, c), _row_hit(rows, a, b, c)))
+            return tested[-1][1]
+
+        monkeypatch.setattr(triangulate, "_row_hit", row_hit)
+        self.same(ring)
+        ear = tuple((turn * x, turn * y) for x, y in ((-6, 1), (4, -1), (4, 0)))
+        assert (ear, True) in tested
+
+
+class TestRowIndex:
+    """The pieces of the ear clipper's row index against brute force."""
+
+    @staticmethod
+    def inside(p, a, b, c):
+        return all((q[0] - o[0]) * (p[1] - o[1]) >= (p[0] - o[0]) * (q[1] - o[1])
+                   for o, q in ((a, b), (b, c), (c, a)))
+
+    def test_row_hit_is_exact_at_every_point(self):
+        # every point of a box around each triangle, alone in the index:
+        # found exactly when it lies in the closed triangle and is
+        # neither a nor c, so both ends of every row interval are exact
+        rng = random.Random(75)
+        box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+        for _ in range(300):
+            a, b, c = (tuple(rng.randint(-4, 4) for _ in range(2))
+                       for _ in range(3))
+            area = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+            if area == 0:
+                continue
+            if area < 0:
+                b, c = c, b
+            for p in box:
+                expected = self.inside(p, a, b, c) and p not in (a, c)
+                assert _row_hit({p[0]: [p[1]]}, a, b, c) == expected, (a, b, c, p)
+            rows = {}
+            for p in box:
+                if p != b and rng.random() < 0.2:
+                    rows.setdefault(p[0], []).append(p[1])
+            expected = any(self.inside((x, y), a, b, c) and (x, y) not in (a, c)
+                           for x, ys in rows.items() for y in ys)
+            assert _row_hit(rows, a, b, c) == expected
+
+    @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1),
+                                       (0, -1, 1, 0), (1, 3, 0, 1),
+                                       (-1, 0, 0, 1)])
+    def test_frame_is_reduced_with_determinant_one(self, frame):
+        a, b, c, d = frame
+        pts = [(a * x + b * y, c * x + d * y)
+               for x, y in comb_ring(random.Random(76), 40)]
+        (f0, f1), (g0, g1) = _row_frame(pts)
+        assert f0 * g1 - f1 * g0 == 1
+        n = len(pts)
+
+        def spread(u0, u1):
+            vals = [u0 * x + u1 * y for x, y in pts]
+            return n * sum(v * v for v in vals) - sum(vals) ** 2
+
+        # the comb's rows are its own: f . p is y in the comb's frame
+        assert sorted({f0 * x + f1 * y for x, y in pts}) in (
+            list(range(0, 6)), list(range(-5, 1)))
+        assert spread(f0, f1) == min(spread(u0, u1)
+                                     for u0 in range(-5, 6)
+                                     for u1 in range(-5, 6) if (u0, u1) != (0, 0))
+        assert spread(f0, f1) <= spread(g0, g1)
+
+
+class TestEarClipSpeed:
+    """Defect 8: ear clipping was quadratic on sliver fans, 6.1 s on this
+    comb and 8.3 s on its image, and the triangle guard admits combs
+    up to n = 2.2e5."""
+
+    @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1)])
+    def test_comb_of_ten_thousand_vertices(self, frame):
+        a, b, c, d = frame
+        ring = [(a * x + b * y, c * x + d * y)
+                for x, y in comb_ring(random.Random(7), 2500)]
+        poly = validate_polygon([P(x, y) for x, y in ring])
+        start = time.perf_counter()
+        tris = initial_triangulation(poly)
+        elapsed = time.perf_counter() - start
+        assert len(tris) == 9998
+        assert sum(t.twice_area for t in tris) == twice_polygon_area(poly)
+        assert elapsed < 2.0, f"took {elapsed:.2f}s, limit 2s"
 
 
 class TestGcdEdgeSplit:

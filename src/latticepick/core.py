@@ -10,7 +10,6 @@ magnitude.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -49,7 +48,10 @@ class PolygonError(GeometryError):
     """A vertex list does not describe a valid simple lattice polygon.
 
     ``indices`` identifies the offending vertices (or edge start
-    indices) in input order.
+    indices) in input order, also for clockwise input to
+    validate_polygon.  A self-intersection names one pair of
+    non-adjacent edges that share a point: the first pair the
+    validating sweep meets, not always the first in (i, j) order.
     """
 
     def __init__(self, message: str, indices: tuple[int, ...] = ()):
@@ -270,12 +272,9 @@ class LatticePolygon:
     (LatticePoint itself refuses a coordinate that is not an int),
     degenerate edges, orientation, and exact boundary simplicity (an
     integer Shamos-Hoey sweep, O(n log n) comparisons, finds whether
-    any two non-adjacent edges touch).  Only when it finds a contact
-    is each edge i, in order, tested against the later edges whose
-    bounding boxes meet its own, to name the first offending pair in
-    (i, j) order; that is quadratic only when many edges overlap in x
-    before that pair.  Use validate_polygon to build one from raw
-    vertices of either orientation.
+    any two non-adjacent edges touch, and names the first pair it
+    meets).  Use validate_polygon to build one from raw vertices of
+    either orientation.
 
     The polygon carries its vertices as (x, y) int pairs, ``ring``, and
     its doubled area, ``twice_area``.  Each is computed once, by the
@@ -337,13 +336,10 @@ def _check_polygon(poly: LatticePolygon) -> None:
         raise SelfIntersectionError(
             f"edge {fold} folds back onto edge {(fold - 1) % n}",
             ((fold - 1) % n, fold))
-    # non-adjacent edges must not share any point; the sweep decides,
-    # and only on a contact are edge pairs tested to name the first one
-    if _sweep_finds_contact(ring):
-        pair = _first_contact(ring)
-        if pair is None:
-            raise InternalInvariantError(
-                "the sweep found a contact that the pairwise test did not")
+    # non-adjacent edges must not share any point; the sweep decides
+    # and names the first contact it meets
+    pair = _sweep_finds_contact(ring)
+    if pair:
         i, j = pair
         raise SelfIntersectionError(f"edges {i} and {j} intersect", pair)
     if poly.twice_area == 0:
@@ -353,10 +349,11 @@ def _check_polygon(poly: LatticePolygon) -> None:
                            "use validate_polygon to normalize orientation")
 
 
-def _sweep_finds_contact(pts: Sequence[Point]) -> bool:
-    """Whether two non-adjacent closed edges of the ring share a point,
-    by the Shamos-Hoey sweep (Shamos & Hoey, "Geometric intersection
-    problems", FOCS 1976) in exact integers.
+def _sweep_finds_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
+    """A pair (i, j), i < j, of non-adjacent closed edges of the ring
+    that share a point, or None if there is none, by the Shamos-Hoey
+    sweep (Shamos & Hoey, "Geometric intersection problems", FOCS 1976)
+    in exact integers.
 
     The ring ``pts`` of (x, y) tuples must have no repeated consecutive
     vertex and no fold-back, so that ring-adjacent edges meet only at
@@ -381,6 +378,10 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> bool:
     if two of them are not adjacent, two status neighbours among them
     are not adjacent either, and they were tested when they became
     status neighbours.
+
+    The pair returned is the first pair of status neighbours tested
+    that share a point.  It is a real contact, and the same one on every
+    run of the same ring, but not always the first in (i, j) order.
     """
     n = len(pts)
     left: list[Point] = []
@@ -396,9 +397,11 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> bool:
         events.append((b, 1, i))
     events.sort()
 
-    def meet(i: int, j: int) -> bool:
-        return (i - j) % n not in (1, n - 1) and _segments_share_point(
-            left[i], right[i], left[j], right[j])
+    def meet(i: int, j: int) -> tuple[int, int] | None:
+        if (i - j) % n in (1, n - 1) or not _segments_share_point(
+                left[i], right[i], left[j], right[j]):
+            return None
+        return (i, j) if i < j else (j, i)
 
     status: list[int] = []
     for p, leaving, e in events:
@@ -416,8 +419,8 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> bool:
                     hi = mid
             k = status.index(e, lo)
             del status[k]
-            if 0 < k < len(status) and meet(status[k - 1], status[k]):
-                return True
+            if 0 < k < len(status) and (pair := meet(*status[k - 1:k + 1])):
+                return pair
             continue
         rx, ry = right[e]
         while lo < hi:
@@ -433,67 +436,24 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> bool:
             else:
                 hi = mid
         status.insert(lo, e)
-        if lo > 0 and meet(status[lo - 1], e):
-            return True
-        if lo + 1 < len(status) and meet(e, status[lo + 1]):
-            return True
-    return False
-
-
-def _first_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j, in (i, j) order, of non-adjacent
-    edges of the ring that share a point, or None.
-
-    Edge i is tested only against the edges j > i whose bounding boxes
-    meet its own, in order of i, so the search stops at the first i
-    that has a contact.  They are found through the edges sorted by
-    their left x: those that start no further right than edge i ends
-    are a prefix, and a binary tree over it, holding the rightmost end
-    below each node, yields the ones that end no further left than
-    edge i starts in O(log n) steps each.
-    """
-    n = len(pts)
-    boxes = []
-    for i in range(n):
-        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
-        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), i))
-    by_x = sorted(boxes)
-    starts = [box[0] for box in by_x]
-    size = 1 << (n - 1).bit_length()
-    reach = [starts[0]] * (2 * size)  # node v's children are 2v and 2v + 1
-    reach[size:size + n] = [box[1] for box in by_x]
-    for v in range(size - 1, 0, -1):
-        reach[v] = max(reach[2 * v], reach[2 * v + 1])
-    for i, (x0, x1, y0, y1, _) in enumerate(boxes):
-        end = bisect_right(starts, x1)
-        first = n
-        stack = [(1, 0, size)]
-        while stack:
-            v, lo, hi = stack.pop()
-            if lo >= end or reach[v] < x0:
-                continue
-            if v < size:
-                mid = (lo + hi) // 2
-                stack += ((2 * v, lo, mid), (2 * v + 1, mid, hi))
-                continue
-            _, _, qy0, qy1, j = by_x[lo]
-            if i + 1 < j < first and not (i == 0 and j == n - 1) \
-                    and qy0 <= y1 and qy1 >= y0 \
-                    and _segments_share_point(pts[i], pts[(i + 1) % n],
-                                              pts[j], pts[(j + 1) % n]):
-                first = j
-        if first < n:
-            return i, first
+        if lo > 0 and (pair := meet(status[lo - 1], e)):
+            return pair
+        if lo + 1 < len(status) and (pair := meet(e, status[lo + 1])):
+            return pair
     return None
 
 
 def validate_polygon(vertices: Sequence[LatticePoint]) -> LatticePolygon:
     """Build a LatticePolygon from raw vertices, reversing clockwise
     input so the result always winds counterclockwise.  Raises a
-    PolygonError subclass describing the first problem found."""
+    PolygonError subclass describing the first problem found, with
+    indices into ``vertices`` in either orientation."""
     vs = tuple(vertices)
     if len(vs) >= 3 and _twice_area([(v.x, v.y) for v in vs]) < 0:
-        vs = vs[:1] + vs[:0:-1]
+        try:
+            return LatticePolygon(vs[:1] + vs[:0:-1])
+        except PolygonError:
+            pass  # the same fault is raised below, in the caller's order
     return LatticePolygon(vs)
 
 

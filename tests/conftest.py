@@ -390,11 +390,21 @@ def _segments_share_point(p1: LatticePoint, p2: LatticePoint,
     return False
 
 
+def edges_touch(vs: Sequence[LatticePoint], i: int, j: int) -> bool:
+    """Whether edges i < j of the ring ``vs`` are not adjacent and share
+    a point."""
+    n = len(vs)
+    return (0 <= i < j - 1 < n - 1 and not (i == 0 and j == n - 1)
+            and _segments_share_point(vs[i], vs[(i + 1) % n],
+                                      vs[j], vs[(j + 1) % n]))
+
+
 def pairwise_simplicity_oracle(vs: Sequence[LatticePoint]) -> None:
     """Check a counterclockwise ring as LatticePolygon does, testing
-    every pair of non-adjacent edges, O(n^2); raises the same
-    PolygonError, with the same message and indices, as the first
-    failed check."""
+    every pair of non-adjacent edges, O(n^2); raises the PolygonError
+    of the first failed check.  A self-intersection names the first
+    pair in (i, j) order, which LatticePolygon need not name; every
+    other error has the same message and indices."""
     n = len(vs)
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
@@ -413,11 +423,8 @@ def pairwise_simplicity_oracle(vs: Sequence[LatticePoint]) -> None:
                 f"edge {i} folds back onto edge {(i - 1) % n}",
                 ((i - 1) % n, i))
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_share_point(vs[i], vs[(i + 1) % n],
-                                     vs[j], vs[(j + 1) % n]):
+        for j in range(i + 2, n):
+            if edges_touch(vs, i, j):
                 raise SelfIntersectionError(
                     f"edges {i} and {j} intersect", (i, j))
     area2 = shoelace_oracle(vs)
@@ -643,3 +650,32 @@ def staircase_ring(rng: random.Random, steps: int) -> list[tuple[int, int]]:
         x += rng.randint(1, 2)
         lower += [(x, y), (x, y + 1)]
     return lower + [(px - 1, py + 1) for px, py in reversed(lower)]
+
+
+def _square_point(r: int, t: int) -> tuple[int, int]:
+    """The point at perimeter position t, 0 <= t < 8r, of the square of
+    half-side r, counterclockwise from (r, 0)."""
+    if t < r:
+        return r, t
+    if t < 3 * r:
+        return 2 * r - t, r
+    if t < 5 * r:
+        return -r, 4 * r - t
+    if t < 7 * r:
+        return t - 6 * r, -r
+    return r, t - 8 * r
+
+
+def crossed_star_ring(n: int) -> list[tuple[int, int]]:
+    """The star of ROADMAP known defect 7, with n even vertices: spikes
+    on the square of half-side 10^6 alternate with a core on the square
+    of half-side 10^4, each at the same share of its perimeter, so the
+    ring is star-shaped about the origin.  The third-last vertex is then
+    moved across the last spike, to the core between the last vertex
+    and the first, so the edges on either side of it cross the last two
+    edges.  Every edge's bounding box overlaps many others in x."""
+    big, small = 10**6, 10**4
+    ring = [_square_point(small, 8 * small * k // n) if k % 2
+            else _square_point(big, 8 * big * k // n) for k in range(n)]
+    ring[n - 3] = _square_point(small, 8 * small * (2 * n - 1) // (2 * n))
+    return ring

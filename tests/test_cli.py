@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from latticepick.cli import (
     render_svg,
 )
 
+from tests.conftest import crossed_star_ring, edges_touch
 from tests.regen_golden import COMMANDS as GOLDEN_COMMANDS, check, error_contract
 
 P = LatticePoint
@@ -213,6 +215,43 @@ class TestExitCodes:
         f = tmp_path / "p.txt"
         f.write_text("0 0\n2 2\n2 0\n0 2\n")
         assert main(["pick", str(f)]) == EXIT_INVALID_POLYGON
+
+    @pytest.mark.parametrize("ring,message", [
+        # a repeated vertex, a vertex out of range, a fold-back and a
+        # crossing, each in a clockwise ring
+        ([(0, 0), (0, 4), (0, 4), (4, 4), (4, 0)],
+         "vertices 1 and 2 coincide"),
+        ([(0, 0), (0, 4), (4, 4), (2**31 + 1, 0)],
+         "vertex 3 at LatticePoint(x=2147483649, y=0) exceeds "
+         "|coordinate| <= 2**31"),
+        ([(0, 0), (0, 4), (4, 4), (4, 0), (6, 0)],
+         "edge 4 folds back onto edge 3"),
+        ([(0, 0), (0, 4), (4, 4), (4, 0), (-1, 2)],
+         "edges 0 and 3 intersect"),
+    ])
+    def test_clockwise_fault_named_by_file_order(self, ring, message,
+                                                 tmp_path, capsys):
+        f = tmp_path / "p.txt"
+        f.write_text("".join(f"{x} {y}\n" for x, y in ring))
+        assert main(["area", str(f)]) == EXIT_INVALID_POLYGON
+        assert capsys.readouterr().err == \
+            f"error: invalid polygon: {message}\n"
+
+    def test_crossed_star_is_rejected_fast(self, tmp_path, capsys):
+        # ROADMAP known defect 7: naming the first contact in (i, j)
+        # order took 6-9 s on this star; the sweep names the one it meets
+        ring = crossed_star_ring(4000)
+        f = tmp_path / "star.txt"
+        f.write_text("".join(f"{x} {y}\n" for x, y in ring))
+        start = time.perf_counter()
+        code = main(["area", str(f)])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_INVALID_POLYGON
+        named = re.fullmatch(r"error: invalid polygon: edges (\d+) and "
+                             r"(\d+) intersect\n", capsys.readouterr().err)
+        i, j = map(int, named.groups())
+        assert edges_touch([P(x, y) for x, y in ring], i, j)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
 
     def test_guard(self, tmp_path, capsys):
         f = tmp_path / "p.txt"

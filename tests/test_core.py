@@ -45,6 +45,7 @@ from tests.conftest import (
     cell_ring,
     comb_ring,
     drop_straight_vertices,
+    edges_touch,
     pairwise_simplicity_oracle,
     random_lattice_polygon,
     random_polyomino,
@@ -383,24 +384,54 @@ def verdict(check, vertices):
     return None
 
 
+def checked_verdict(check, vs):
+    """The verdict of ``check`` on the ring ``vs``, asserted to agree
+    with the pairwise oracle's.  The error class is the same.  Where the
+    oracle names a contact, ``check`` may name any pair of non-adjacent
+    edges that share a point, by the oracle's own predicate; every
+    other error has the oracle's message and indices."""
+    found = verdict(check, vs)
+    expected = verdict(pairwise_simplicity_oracle, vs)
+    if expected and expected[1].endswith(" intersect"):
+        assert found and found[0] is SelfIntersectionError, (found, vs)
+        i, j = found[2]
+        assert found[1] == f"edges {i} and {j} intersect", vs
+        assert edges_touch(vs, i, j), (found, vs)
+    else:
+        assert found == expected, vs
+    return found
+
+
+def plant_faults(rng, ring):
+    """Move one to three vertices of ``ring`` out of range, or repeat
+    them, or fold the boundary back after them, in place."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(ring))
+        x, y = ring[i]
+        fault = rng.randrange(3)
+        if fault == 0:
+            ring[i] = (x, rng.choice((-1, 1)) * (COORDINATE_LIMIT + 1))
+        elif fault == 1:
+            ring.insert(i, (x, y))
+        else:  # back to the vertex before
+            ring.insert(i + 1, ring[i - 1])
+
+
 def rotated(ring):
     return [(-y, x) for x, y in ring]
 
 
 class TestSimplicitySweep:
-    """The sweep in LatticePolygon against the pairwise oracle: the
-    same verdict, error class, message and indices on every ring, in
-    both orientations."""
+    """The sweep in LatticePolygon against the pairwise oracle, on every
+    ring and in both orientations: the same verdict and error class, a
+    real contact wherever the oracle finds one, and the oracle's
+    message and indices for every other error."""
 
     def same(self, ring, both=True):
         """The verdicts on the ring and, with ``both``, on its reverse;
         a simple ring has None for its counterclockwise orientation."""
-        found = []
-        for r in (ring, ring[::-1]) if both else (ring,):
-            vs = [P(x, y) for x, y in r]
-            found.append(verdict(LatticePolygon, vs))
-            assert found[-1] == verdict(pairwise_simplicity_oracle, vs), r
-        return found
+        return [checked_verdict(LatticePolygon, [P(x, y) for x, y in r])
+                for r in ((ring, ring[::-1]) if both else (ring,))]
 
     def outcome(self, ring):
         found = self.same(ring)
@@ -429,21 +460,37 @@ class TestSimplicitySweep:
         for _ in range(600):
             ring = list(random_lattice_polygon(rng, rng.randint(4, 10),
                                                9).ring)
-            for _ in range(rng.randint(1, 3)):
-                i = rng.randrange(len(ring))
-                x, y = ring[i]
-                fault = rng.randrange(3)
-                if fault == 0:
-                    ring[i] = (x, rng.choice((-1, 1)) * (COORDINATE_LIMIT + 1))
-                elif fault == 1:
-                    ring.insert(i, (x, y))
-                else:  # back to the vertex before
-                    ring.insert(i + 1, ring[i - 1])
+            plant_faults(rng, ring)
             [found] = self.same(ring, both=False)
             outcomes[found and found[0]] += 1
         assert outcomes[CoordinateRangeError] >= 100
         assert outcomes[RepeatedVertexError] >= 100
         assert outcomes[SelfIntersectionError] >= 50
+
+    def test_clockwise_faults_keep_input_indices(self):
+        # validate_polygon checks clockwise input reversed; each fault
+        # must still be named by the caller's indices
+        rng = random.Random(68)
+        outcomes = Counter()
+        for _ in range(600):
+            ring = list(random_lattice_polygon(rng, rng.randint(4, 10),
+                                               9).ring)[::-1]
+            if rng.random() < 0.5:
+                plant_faults(rng, ring)
+            else:  # one vertex moved anywhere in the box
+                ring[rng.randrange(len(ring))] = (rng.randint(-9, 9),
+                                                  rng.randint(-9, 9))
+            vs = [P(x, y) for x, y in ring]
+            expected = verdict(pairwise_simplicity_oracle, vs)
+            # a clockwise ring the oracle refuses only for its orientation
+            # is valid input to validate_polygon
+            if shoelace_oracle(vs) < 0 and expected \
+                    and expected[0] is not PolygonError:
+                found = checked_verdict(validate_polygon, vs)
+                outcomes[found[1].split()[0]] += 1
+        # out of range, repeated, folded back, touching
+        for kind in ("vertex", "vertices", "edge", "edges"):
+            assert outcomes[kind] >= 30, outcomes
 
     def test_perturbed_rectilinear_rings(self):
         # boundaries of random cell unions, sheared, with one vertex
@@ -488,6 +535,8 @@ class TestSimplicitySweep:
         ([(0, 0), (10, 1), (10, 3), (1, -5), (0, 9)], (0, 2)),
     ])
     def test_named_contacts(self, ring, pair):
+        # the oracle names the first pair in (i, j) order; the sweep
+        # names a real contact, checked in self.outcome
         vs = [P(x, y) for x, y in ring]
         with pytest.raises(SelfIntersectionError) as exc_info:
             pairwise_simplicity_oracle(tuple(vs))
@@ -525,9 +574,9 @@ class TestSimplicitySweep:
 
     @staticmethod
     def notched_sawtooth(k):
-        """The ring of ROADMAP known defect 7: a strip with k teeth and
-        one vertex at (-1, 1) whose edge crosses the last edge, so the
-        first pair is (n - 3, n - 1) with n = 2k + 4."""
+        """A strip with k teeth and one vertex at (-1, 1) whose edge
+        crosses the last edge, so the only contact is (n - 3, n - 1)
+        with n = 2k + 4."""
         ring = [(0, 0), (2 * k, 0)]
         ring += [(x, 5 if x % 2 == 0 else 7) for x in range(2 * k, -1, -1)]
         return ring[:-1] + [(-1, 1)] + ring[-1:]
@@ -545,13 +594,15 @@ class TestSimplicitySweep:
         (41, -3, 6, (40, 42)),  # across the next tooth
     ])
     def test_early_and_late_contacts(self, j, dx, y, low):
-        # a tooth tip moved adds a contact at low edge indices; the
-        # late contact of the notch must not hide it
+        # a tooth tip moved adds a contact at low edge indices, which
+        # the oracle names first; the sweep, which meets the notch
+        # first, may name either, as long as it is real
         ring = self.notched_sawtooth(100)
         ring[j] = (ring[j][0] + dx, y)
-        assert self.same(ring)[0] == (SelfIntersectionError,
-                                      f"edges {low[0]} and {low[1]} intersect",
-                                      low)
+        with pytest.raises(SelfIntersectionError) as exc_info:
+            pairwise_simplicity_oracle(tuple(P(x, y) for x, y in ring))
+        assert exc_info.value.indices == low
+        assert self.outcome(ring) is SelfIntersectionError
 
     def test_sweep_scales(self):
         # n = 2000: the pairwise scan would test about 2 * 10^6 pairs

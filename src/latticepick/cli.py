@@ -53,14 +53,14 @@ EXIT_INTERNAL = 5
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work, since its triangulation has exactly 2A triangles.
 #: Both hold every triangle in memory; at 2A = 180 000 (a square) the
-#: refinement took 4.9-6.2 us and 0.44 KB (--events 0.44 KB, svg
-#: 0.71 KB) of peak RSS per triangle (CPython 3.11, 2-core x86-64).
-#: That counts the refinement only, and many vertices cost more: end
-#: to end, in a fresh process with stdout to /dev/null, triangulate took
-#: 10.7-12.1 s and 434 MB on the admitted comb of 220 000 vertices
-#: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624), 5.2 s
-#: of it ear clipping and 1.9 s reading and validating.  So not every
-#: admitted input ends within 3 s.
+#: refinement took 3.8-4.2 us per triangle, and triangulate 0.45 KB
+#: (--events 0.45 KB, svg 0.73 KB) of peak RSS per triangle (CPython
+#: 3.11, 2-core x86-64).  That counts the refinement only, and many
+#: vertices cost more: end to end, in a fresh process with stdout to
+#: /dev/null, triangulate took 9.9-12.4 s and 319 MB on the admitted
+#: comb of 220 000 vertices (tests/conftest.py comb_ring(Random(7),
+#: 55000), 2A = 494 624), 5.6-5.9 s of it ear clipping and 2.4 s
+#: reading and validating.  So not every admitted input ends within 3 s.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.

@@ -15,12 +15,13 @@ _steps, pops a triangle off a stack that its caller owns, does either
 kind of split inline, checks that the children are counterclockwise,
 non-degenerate and cover the parent's area, pushes them and yields the
 event.  _refine runs it to the end; gcd_edge_split and interior_split
-take one step of it.  The finished list is then proved once by
-_certify, a tiling certificate: the directed edges of all triangles,
-each cancelled against its reverse, leave exactly the polygon's
-counterclockwise primitive boundary edges.  Triangulation stores the
-tuples and builds LatticeTriangle and SplitEvent objects only when
-they are first asked for.
+take one step of it.  The result is proved as the paper's induction
+goes, in O(n) beyond the splits themselves: _certify_ears proves that
+the n - 2 ears tile the polygon, the directed edges of the ears
+cancelling to the ring's own edges, and _steps proves that each split's
+children tile their parent, so the finished triangles tile the
+polygon.  Triangulation stores the tuples and builds LatticeTriangle
+and SplitEvent objects only when they are first asked for.
 
 Ear clipping tests a candidate ear against the vertices that could
 block it, in its x-range, or, on the sliver fans where that range holds
@@ -50,7 +51,6 @@ from .core import (
     LatticePolygon,
     Point,
     PreconditionError,
-    _edge_lattice_points,
     _oriented,
     edge_gcd,
     twice_polygon_area,
@@ -148,7 +148,8 @@ def _event(event: EventTuple) -> SplitEvent:
 class Triangulation:
     """Finished refinement of a polygon into exactly twice_polygon_area
     counterclockwise triangles of doubled area 1 that tile it, proved
-    by primitive_triangulation's tiling certificate before it is built.
+    as primitive_triangulation builds it: the ears tile the polygon and
+    each split's children tile their parent.
 
     ``triangle_tuples`` and ``event_tuples`` hold the refinement
     kernel's plain tuples, triangles in completion order and the split
@@ -413,9 +414,14 @@ def _steps(stack: list[TriangleTuple],
     (b, c, D).  The children go on the stack so that the first is
     popped next.
 
-    Each child is checked to be counterclockwise and non-degenerate,
-    and their doubled areas to sum to s; anything else raises
-    InternalInvariantError.
+    Each child's doubled area is computed from its own corners, and
+    the children must all be positive and sum to s; anything else
+    raises InternalInvariantError.  That proves they tile the parent,
+    whose s is exact too.  For an edge split, area(p, q, o) =
+    area(p, d, o) + area(d, q, o) + area(p, q, d) for any d, so the sum
+    puts d on the line pq and positive children put it strictly between
+    p and q.  For an interior split the three areas sum to s for any d,
+    and all three are positive only when d is strictly inside.
     """
     while stack:
         tri = stack.pop()
@@ -492,6 +498,36 @@ def interior_split(tri: LatticeTriangle) -> SplitEvent:
     return _event(next(_steps([_as_tuple(tri)], [])))
 
 
+def _certify_ears(poly: LatticePolygon, ears: list[TriangleTuple]) -> None:
+    """Prove that ``ears`` tile ``poly``, or raise InternalInvariantError.
+
+    Each ear's doubled area s, which _steps splits, must be positive
+    and the one recomputed from its corners.  Each directed edge
+    cancels a pending copy of its reverse or waits for one; a second
+    pending copy means two ears overlap beside that edge.  What is left
+    must be exactly the ring's own vertex-to-vertex edges.  The ears
+    then sum, as a 2-chain, to the polygon: every point off the edges
+    lies in exactly one ear, so there is no overlap and no gap.
+    """
+    pending: set[tuple[Point, Point]] = set()
+    for a, b, c, s in ears:
+        (ax, ay), (bx, by), (cx, cy) = a, b, c
+        if s <= 0 or (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != s:
+            raise InternalInvariantError(
+                f"ear {a} {b} {c} is not counterclockwise of doubled area {s}")
+        for p, q in (a, b), (b, c), (c, a):
+            if (q, p) in pending:
+                pending.remove((q, p))
+            elif (p, q) in pending:
+                raise InternalInvariantError("two ears share a directed edge")
+            else:
+                pending.add((p, q))
+    ring = poly.ring
+    if pending != set(zip(ring, ring[1:] + ring[:1])):
+        raise InternalInvariantError(
+            "ear edges do not cancel to the polygon boundary")
+
+
 def _refine(poly: LatticePolygon
             ) -> tuple[list[TriangleTuple], list[EventTuple]]:
     """Refine the ear-clipped triangles of ``poly`` depth-first: the
@@ -499,59 +535,10 @@ def _refine(poly: LatticePolygon
     construction order.  Returns the finished triangles in completion
     order and the split log."""
     stack = [_as_tuple(t) for t in reversed(initial_triangulation(poly))]
+    _certify_ears(poly, stack)
     done: list[TriangleTuple] = []
     events = list(_steps(stack, done))
     return done, events
-
-
-def _certify(poly: LatticePolygon, tris: list[TriangleTuple]) -> None:
-    """Prove that ``tris`` tile ``poly`` with triangles of doubled
-    area 1, or raise InternalInvariantError.
-
-    Every triangle must be counterclockwise with doubled area 1,
-    recomputed from its vertices, and there must be
-    twice_polygon_area(poly) of them.  Each directed edge cancels a
-    pending copy of its reverse or waits for one, in a dict probed once
-    per edge; what is left must be exactly the polygon's
-    counterclockwise primitive boundary edges.  The triangles then sum,
-    as a 2-chain, to the polygon: every point off the edges lies in
-    exactly one triangle, so there is no overlap and no gap.
-    """
-    if len(tris) != twice_polygon_area(poly):
-        raise InternalInvariantError(
-            "triangle count must equal the doubled polygon area")
-    pending: dict[tuple[Point, Point], bool] = {}
-    cancelled = 0
-    for a, b, c, _ in tris:
-        (ax, ay), (bx, by), (cx, cy) = a, b, c
-        if (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 1:
-            raise InternalInvariantError(
-                f"triangle {a} {b} {c} is not counterclockwise "
-                "of doubled area 1")
-        # unrolled over the edges ab, bc, ca: this loop runs once per
-        # output triangle
-        if pending.pop((b, a), False):
-            cancelled += 1
-        else:
-            pending[a, b] = True
-        if pending.pop((c, b), False):
-            cancelled += 1
-        else:
-            pending[b, c] = True
-        if pending.pop((a, c), False):
-            cancelled += 1
-        else:
-            pending[c, a] = True
-    # an add that found its edge already pending was lost; the dict
-    # then no longer holds the edge sum
-    if len(pending) != 3 * len(tris) - 2 * cancelled:
-        raise InternalInvariantError("two triangles share a directed edge")
-    boundary = set()
-    for points in _edge_lattice_points(poly.ring):
-        boundary.update(zip(points, points[1:]))
-    if pending.keys() != boundary:
-        raise InternalInvariantError(
-            "triangle edges do not cancel to the polygon boundary")
 
 
 def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
@@ -559,10 +546,13 @@ def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
 
     Work proceeds depth-first: the initial ear-clipped triangles are
     processed in order, and each split's children are processed next,
-    in construction order.  The result, proved by the tiling
-    certificate, lists triangles in completion order together with the
-    full split-event log.
+    in construction order.  The result lists triangles in completion
+    order together with the full split-event log.  It is proved as it
+    is built: the ears tile the polygon, each split's children tile
+    their parent, and there are twice_polygon_area(poly) triangles.
     """
     tris, events = _refine(poly)
-    _certify(poly, tris)
+    if len(tris) != twice_polygon_area(poly):
+        raise InternalInvariantError(
+            "triangle count must equal the doubled polygon area")
     return Triangulation(tuple(tris), tuple(events))

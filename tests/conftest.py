@@ -18,11 +18,14 @@ decides a cut by validating the two parts it makes.  The scan over all
 candidate split positions is the oracle for the O(1) Bezout
 construction of latticepick.bezout, and the split step built on that
 scan, which splits one triangle at a time, is the oracle for the
-refinement kernel of latticepick.triangulate.  The fan sum of triangle
-areas is
-the oracle for the shoelace sum a polygon keeps, and the tokenizing
-reader of the plain format is the oracle for the one-regex fast path
-of latticepick.cli.
+refinement kernel of latticepick.triangulate.  The global tiling
+certificate, which cancels the directed edges of all 2A finished
+triangles against the polygon's primitive boundary edges, is the
+oracle for the proof that the library builds as it refines: the ears
+tile the polygon, and each split's children tile their parent.  The
+fan sum of triangle areas is the oracle for the shoelace sum a polygon
+keeps, and the tokenizing reader of the plain format is the oracle for
+the one-regex fast path of latticepick.cli.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from latticepick import (
     validate_polygon,
 )
 from latticepick.cli import PolygonParseError
-from latticepick.core import _classify_point, _edge_quads
+from latticepick.core import _classify_point, _edge_lattice_points, _edge_quads
 from latticepick.triangulate import EventTuple, TriangleTuple
 
 
@@ -362,6 +365,47 @@ def refine_oracle(poly: LatticePolygon,
         events.append((tri, rule, d, children))
         stack.extend(reversed(children))
     return tuple(done), tuple(events)
+
+
+def tiling_oracle(poly: LatticePolygon, tris: Sequence[TriangleTuple]) -> None:
+    """Prove that ``tris`` tile ``poly`` with triangles of doubled
+    area 1, or raise InternalInvariantError.
+
+    Every triangle must be counterclockwise with doubled area 1,
+    recomputed from its vertices, and there must be
+    twice_polygon_area(poly) of them.  Each directed edge cancels a
+    pending copy of its reverse or waits for one, in a dict probed once
+    per edge; what is left must be exactly the polygon's
+    counterclockwise primitive boundary edges.  The triangles then sum,
+    as a 2-chain, to the polygon: every point off the edges lies in
+    exactly one triangle, so there is no overlap and no gap.
+    """
+    if len(tris) != twice_polygon_area(poly):
+        raise InternalInvariantError(
+            "triangle count must equal the doubled polygon area")
+    pending: dict[tuple[tuple[int, int], tuple[int, int]], bool] = {}
+    cancelled = 0
+    for a, b, c, _ in tris:
+        (ax, ay), (bx, by), (cx, cy) = a, b, c
+        if (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) != 1:
+            raise InternalInvariantError(
+                f"triangle {a} {b} {c} is not counterclockwise "
+                "of doubled area 1")
+        for edge in (a, b), (b, c), (c, a):
+            if pending.pop(edge[::-1], False):
+                cancelled += 1
+            else:
+                pending[edge] = True
+    # an add that found its edge already pending was lost; the dict
+    # then no longer holds the edge sum
+    if len(pending) != 3 * len(tris) - 2 * cancelled:
+        raise InternalInvariantError("two triangles share a directed edge")
+    boundary = set()
+    for points in _edge_lattice_points(poly.ring):
+        boundary.update(zip(points, points[1:]))
+    if pending.keys() != boundary:
+        raise InternalInvariantError(
+            "triangle edges do not cancel to the polygon boundary")
 
 
 def _in_box(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:

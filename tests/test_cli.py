@@ -18,6 +18,7 @@ import pytest
 from latticepick import (
     LatticePoint,
     LatticePolygon,
+    LatticeTriangle,
     cli,
     polygon_lattice_points,
     triangulate,
@@ -153,6 +154,61 @@ class TestParseStructured:
         # the source picks the format even for text that is not JSON
         with pytest.raises(PolygonParseError):
             parse_polygon("0 0\n1 0\n0 1\n", source="poly.json")
+
+
+def forged_triangle(v0: LatticePoint, v1: LatticePoint, v2: LatticePoint,
+                    twice_area: int) -> LatticeTriangle:
+    """A LatticeTriangle built past its own checks."""
+    tri = object.__new__(LatticeTriangle)
+    for field, value in zip(("v0", "v1", "v2", "twice_area"),
+                            (v0, v1, v2, twice_area)):
+        object.__setattr__(tri, field, value)
+    return tri
+
+
+def moved(tri: LatticeTriangle, dx: int, dy: int) -> LatticeTriangle:
+    return LatticeTriangle(*(LatticePoint(v.x + dx, v.y + dy)
+                             for v in tri.vertices), tri.twice_area)
+
+
+def faulty_ears(corrupt):
+    """A wrapper for initial_triangulation that corrupts its ears."""
+    return lambda clip: lambda poly: corrupt(clip(poly))
+
+
+def shifted_split_offset(split_offset):
+    # the split point moved by (a - c) + (b - c), past the edge ab: its
+    # weight on the pivot c turns negative
+    def shifted(ax, ay, bx, by, s):
+        dx, dy = split_offset(ax, ay, bx, by, s)
+        return dx + ax + bx, dy + ay + by
+    return shifted
+
+
+def wrong_edge_gcd(gcd):
+    # an edge's deltas floor-divided by k + 1, not by their gcd k > 1:
+    # on the pentagon's first edge, (5, 0), that is no step at all
+    return lambda p, q: k + 1 if (k := gcd(p, q)) > 1 else k
+
+
+#: a fault in the ear list or in the refinement kernel, as (name in
+#: latticepick.triangulate, wrapper of what the name holds, the message
+#: that catches it)
+FAULTS = {
+    "ear_off_polygon": ("initial_triangulation", faulty_ears(
+        lambda ts: [moved(ts[0], 40, 40)] + ts[1:]), "polygon boundary"),
+    "duplicated_ear": ("initial_triangulation", faulty_ears(
+        lambda ts: ts + ts[:1]), "directed edge"),
+    "dropped_ear": ("initial_triangulation", faulty_ears(
+        lambda ts: ts[:-1]), "polygon boundary"),
+    "reversed_ear": ("initial_triangulation", faulty_ears(
+        lambda ts: [forged_triangle(ts[0].v0, ts[0].v2, ts[0].v1,
+                                    ts[0].twice_area)] + ts[1:]),
+        "not counterclockwise"),
+    "shifted_split_point": ("_split_offset", shifted_split_offset,
+                            "clockwise or degenerate"),
+    "wrong_edge_step": ("gcd", wrong_edge_gcd, "clockwise or degenerate"),
+}
 
 
 class TestExitCodes:
@@ -377,22 +433,22 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert not out_file.exists()
 
-    def test_certificate_failure_is_internal_error(self, tmp_path,
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_certificate_failure_is_internal_error(self, fault, tmp_path,
                                                    monkeypatch, capsys):
-        refine = triangulate._refine
-
-        def misplaced(poly):
-            # one triangle swapped for a unit triangle outside the polygon
-            tris, events = refine(poly)
-            return [((40, 40), (41, 40), (40, 41), 1)] + tris[1:], events
-
-        monkeypatch.setattr(triangulate, "_refine", misplaced)
+        # nothing stands between the kernel's finished triangles and the
+        # output, so each fault goes in where the library could be wrong:
+        # the ear list, or one step of the kernel
+        name, wrong, caught_by = FAULTS[fault]
+        monkeypatch.setattr(triangulate, name,
+                            wrong(getattr(triangulate, name)))
         f = tmp_path / "p.txt"
-        f.write_text("0 0\n2 0\n2 2\n0 2\n")
-        assert main(["triangulate", str(f)]) == EXIT_INTERNAL
+        # edge splits and interior splits both
+        f.write_text("0 0\n5 0\n6 4\n2 7\n-2 3\n")
+        assert main(["triangulate", str(f), "--events"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("internal error: ")
+        assert re.match(f"internal error: .*({caught_by})", captured.err)
 
     @pytest.mark.parametrize("command", ["triangulate", "svg"])
     def test_lost_split_point_is_internal_error(self, command, tmp_path,

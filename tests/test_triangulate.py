@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,14 @@ from latticepick import (
     verify_pick,
 )
 from latticepick import core, triangulate
-from latticepick.cli import EXIT_INTERNAL, main
-from latticepick.triangulate import _certify, _refine, _row_frame, _row_hit
+from latticepick.cli import EXIT_INTERNAL, main, parse_polygon
+from latticepick.triangulate import (
+    _as_tuple,
+    _certify_ears,
+    _refine,
+    _row_frame,
+    _row_hit,
+)
 
 from tests.conftest import (
     cell_ring,
@@ -47,6 +54,7 @@ from tests.conftest import (
     spiral_cells,
     split_oracle,
     staircase_ring,
+    tiling_oracle,
 )
 
 P = LatticePoint
@@ -478,29 +486,93 @@ def shear(t):
     return ((ax, ay), (bx, by), (cx + bx - ax, cy + by - ay), s)
 
 
+PENTAGON_EARS = [_as_tuple(t) for t in initial_triangulation(PENTAGON)]
+
+#: corruptions of a triangle list by name
+CORRUPT = {
+    "drop": lambda ts: ts[:-1],
+    "duplicate": lambda ts: ts + ts[:1],
+    "reverse": lambda ts: [flip(ts[0])] + ts[1:],
+    "move_vertex": lambda ts: ts[:1] + [shear(ts[1])] + ts[2:],
+    "outside": lambda ts: [((40, 40), (41, 40), (40, 41), 1)] + ts[1:],
+    "copy": lambda ts: ts[:1] + ts[:1] + ts[2:],
+}
+#: the message that must catch each, from the global tiling oracle; count
+#: and unit areas still hold under move_vertex, outside and copy, so
+#: only the edges give these away.  Under copy the second copy's adds
+#: find their edges already pending, which only the size equation sees
+CAUGHT_BY_ORACLE = {
+    "drop": "count",
+    "duplicate": "count",
+    "reverse": "not counterclockwise",
+    "move_vertex": "directed edge|polygon boundary",
+    "outside": "polygon boundary",
+    "copy": "directed edge",
+}
+#: and from the ear certificate, which counts nothing: a second copy of
+#: an ear repeats its ring edges, which are never cancelled
+CAUGHT_BY_EARS = {
+    "drop": "polygon boundary",
+    "duplicate": "directed edge",
+    "reverse": "not counterclockwise",
+    "move_vertex": "directed edge|polygon boundary",
+    "outside": "polygon boundary",
+    "copy": "directed edge",
+}
+
+
 class TestCertificate:
+    """The ear certificate, and the global tiling certificate of
+    tests/conftest.py that it replaced, on the same corruptions."""
+
     def test_accepts_the_refinement(self):
         tris, _ = _refine(PENTAGON)
-        _certify(PENTAGON, tris)
+        tiling_oracle(PENTAGON, tris)
 
-    @pytest.mark.parametrize("corrupt,caught_by", [
-        (lambda ts: ts[:-1], "count"),
-        (lambda ts: ts + ts[:1], "count"),
-        (lambda ts: [flip(ts[0])] + ts[1:], "not counterclockwise"),
-        # count and unit areas still hold: only the edges give these away
-        (lambda ts: ts[:5] + [shear(ts[5])] + ts[6:],
-         "directed edge|polygon boundary"),
-        (lambda ts: [((40, 40), (41, 40), (40, 41), 1)] + ts[1:],
-         "polygon boundary"),
-        # count and unit areas hold; the second copy's adds find their
-        # edges already pending, which only the size equation sees
-        (lambda ts: ts[:1] + ts[:1] + ts[2:], "directed edge"),
-    ], ids=["drop", "duplicate", "reverse", "move_vertex", "outside",
-            "copy"])
-    def test_rejects_a_corrupted_tiling(self, corrupt, caught_by):
+    @pytest.mark.parametrize("name", CORRUPT)
+    def test_rejects_a_corrupted_tiling(self, name):
         tris, _ = _refine(PENTAGON)
-        with pytest.raises(InternalInvariantError, match=caught_by):
-            _certify(PENTAGON, corrupt(tris))
+        with pytest.raises(InternalInvariantError,
+                           match=CAUGHT_BY_ORACLE[name]):
+            tiling_oracle(PENTAGON, CORRUPT[name](tris))
+
+    def test_accepts_the_ears(self):
+        _certify_ears(PENTAGON, PENTAGON_EARS)
+
+    @pytest.mark.parametrize("name", CORRUPT)
+    def test_rejects_corrupted_ears(self, name):
+        with pytest.raises(InternalInvariantError,
+                           match=CAUGHT_BY_EARS[name]):
+            _certify_ears(PENTAGON, CORRUPT[name](PENTAGON_EARS))
+
+    def test_rejects_an_ear_area_that_is_not_its_own(self):
+        # the area _steps splits must be the ear's, from its corners
+        (a, b, c, s), *rest = PENTAGON_EARS
+        for wrong in (s + 1, -s, 0):
+            with pytest.raises(InternalInvariantError,
+                               match="not counterclockwise"):
+                _certify_ears(PENTAGON, [(a, b, c, wrong)] + rest)
+
+    @pytest.mark.parametrize("frame", ["identity", "skew", "quarter_turn",
+                                       "shear"])
+    def test_oracle_accepts_every_triangulation(self, frame):
+        # the golden inputs, the ring families and random rings, under
+        # (x, y) -> (2x + y, x + y), (-y, x) and (x + 3y, y)
+        rng = random.Random(75)
+        data = Path(__file__).parent / "data"
+        shapes = [parse_polygon(path.read_text(), source=str(path)).vertices
+                  for path in sorted(data.glob("*.txt"))
+                  + sorted(data.glob("*.json"))]
+        assert len(shapes) == 14
+        shapes += [[P(x, y) for x, y in ring] for ring in (
+            comb_ring(rng, 30), sawtooth_ring(rng, 30),
+            staircase_ring(rng, 20), cell_ring(spiral_cells(3)))]
+        shapes += [random_lattice_polygon(rng, rng.randint(3, 12), 6).vertices
+                   for _ in range(20)]
+        for vertices in shapes:
+            poly = in_frame(vertices, FRAMES[frame])
+            tiling_oracle(poly,
+                          primitive_triangulation(poly).triangle_tuples)
 
 
 def lines_from_objects(result) -> str:

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from .core import (
     GeometryError,
@@ -37,9 +37,10 @@ from .pick import (  # noqa: F401
     verify_pick,
 )
 from .triangulate import (
-    EventTuple,
     SplitRule,
+    TriangleTuple,
     Triangulation,
+    _refinement,
     primitive_triangulation,
 )
 
@@ -52,15 +53,16 @@ EXIT_INTERNAL = 5
 
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work, since its triangulation has exactly 2A triangles.
-#: Both hold every triangle in memory; at 2A = 180 000 (a square) the
-#: refinement took 3.8-4.2 us per triangle, and triangulate 0.45 KB
-#: (--events 0.45 KB, svg 0.73 KB) of peak RSS per triangle (CPython
-#: 3.11, 2-core x86-64).  That counts the refinement only, and many
-#: vertices cost more: end to end, in a fresh process with stdout to
-#: /dev/null, triangulate took 9.9-12.4 s and 319 MB on the admitted
-#: comb of 220 000 vertices (tests/conftest.py comb_ring(Random(7),
-#: 55000), 2A = 494 624), 5.6-5.9 s of it ear clipping and 2.4 s
-#: reading and validating.  So not every admitted input ends within 3 s.
+#: Both hold every finished triangle in memory until every check has
+#: passed, and triangulate --events its lines of text too.  End to end,
+#: in a fresh process with stdout to /dev/null, a square of
+#: 2A = 180 000 took per triangle: triangulate 3.2-3.5 us and 0.22 KB
+#: of peak RSS, --events 4.4-5.1 us and 0.39 KB, svg 5.3-6.5 us and
+#: 0.73 KB (CPython 3.11, 2-core x86-64).  Many vertices cost more:
+#: triangulate took 6.6-8.2 s and 231 MB on the admitted comb of
+#: 220 000 vertices (tests/conftest.py comb_ring(Random(7), 55000),
+#: 2A = 494 624), most of it ear clipping, reading and validating.  So
+#: not every admitted input ends within 3 s.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
@@ -237,56 +239,64 @@ def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
         out.write("".join(batch))
 
 
-def _event_lines(events: Iterable[EventTuple],
-                 text: dict[Point, str]) -> Iterator[str]:
-    """The --events log, one string of lines per event, its points
-    looked up in ``text``; an edge split has two children, an interior
-    split three."""
-    # keyed by id: hashing an Enum member runs Python code per event
-    name = {id(rule): rule.value for rule in SplitRule}
-    for num, ((a, b, c, _), rule, d, children) in enumerate(events, start=1):
-        if len(children) == 2:
-            (a1, b1, c1, _), (a2, b2, c2, _) = children
-            yield (f"event {num} {name[id(rule)]} point {text[d]}\n"
-                   f"  parent {text[a]} {text[b]} {text[c]}\n"
-                   f"  child {text[a1]} {text[b1]} {text[c1]}\n"
-                   f"  child {text[a2]} {text[b2]} {text[c2]}\n")
-        else:
-            (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = children
-            yield (f"event {num} {name[id(rule)]} point {text[d]}\n"
-                   f"  parent {text[a]} {text[b]} {text[c]}\n"
-                   f"  child {text[a1]} {text[b1]} {text[c1]}\n"
-                   f"  child {text[a2]} {text[b2]} {text[c2]}\n"
-                   f"  child {text[a3]} {text[b3]} {text[c3]}\n")
+def _check_point_count(poly: LatticePolygon, count: int) -> None:
+    """Raise InternalInvariantError unless ``count`` ring and split
+    points are Pick's i + u = (2A + u + 2) / 2.  Every vertex of a
+    primitive triangle is one of them, so a lost split point stops the
+    run before any output."""
+    expected = (twice_polygon_area(poly) + boundary_count(poly) + 2) // 2
+    if count != expected:
+        raise InternalInvariantError(f"{count} ring and split points, "
+                                     f"not Pick's i + u = {expected}")
 
 
 def _lattice_points(poly: LatticePolygon,
                     triangulation: Triangulation) -> set[Point]:
     """The lattice points of ``poly``, the vertices of its primitive
-    triangles: each is a ring vertex or the split point of an event.
-    Raises InternalInvariantError unless they are Pick's
-    i + u = (2A + u + 2) / 2 points, so a lost split point stops the
-    run before any output."""
+    triangles: the ring vertices and the events' split points."""
     points = set(poly.ring)
     points.update([d for _, _, d, _ in triangulation.event_tuples])
-    expected = (twice_polygon_area(poly) + boundary_count(poly) + 2) // 2
-    if len(points) != expected:
-        raise InternalInvariantError(f"{len(points)} ring and split points, "
-                                     f"not Pick's i + u = {expected}")
+    _check_point_count(poly, len(points))
     return points
 
 
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     poly = _load(args.file, args.format)
     _guard_triangles(poly)
-    result = primitive_triangulation(poly)
     # each point printed appears in several lines: turn each into text
-    # once
-    text = {p: f"{p[0]} {p[1]}" for p in _lattice_points(poly, result)}
-    _write_lines(out, (f"{text[a]} {text[b]} {text[c]}\n"
-                       for a, b, c, _ in result.triangle_tuples))
+    # once, the ring's first and each split point as its event arrives.
+    # No event is kept: its --events lines are formatted as it arrives,
+    # and every check runs before the first write
+    text = {p: f"{p[0]} {p[1]}" for p in poly.ring}
+    done: list[TriangleTuple] = []
+    stream = _refinement(poly, done)
+    lines: list[str] = []
     if args.events:
-        _write_lines(out, _event_lines(result.event_tuples, text))
+        # keyed by id: hashing an Enum member runs Python code per event
+        name = {id(rule): rule.value for rule in SplitRule}
+        for num, ((a, b, c, _), rule, d, children) in enumerate(stream, 1):
+            # an edge split has two children, an interior split three
+            point = text[d] = f"{d[0]} {d[1]}"
+            if len(children) == 2:
+                (a1, b1, c1, _), (a2, b2, c2, _) = children
+                lines.append(f"event {num} {name[id(rule)]} point {point}\n"
+                             f"  parent {text[a]} {text[b]} {text[c]}\n"
+                             f"  child {text[a1]} {text[b1]} {text[c1]}\n"
+                             f"  child {text[a2]} {text[b2]} {text[c2]}\n")
+            else:
+                (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = children
+                lines.append(f"event {num} {name[id(rule)]} point {point}\n"
+                             f"  parent {text[a]} {text[b]} {text[c]}\n"
+                             f"  child {text[a1]} {text[b1]} {text[c1]}\n"
+                             f"  child {text[a2]} {text[b2]} {text[c2]}\n"
+                             f"  child {text[a3]} {text[b3]} {text[c3]}\n")
+    else:
+        for _, _, d, _ in stream:
+            text[d] = f"{d[0]} {d[1]}"
+    _check_point_count(poly, len(text))
+    _write_lines(out, (f"{text[a]} {text[b]} {text[c]}\n"
+                       for a, b, c, _ in done))
+    _write_lines(out, lines)
     return EXIT_OK
 
 

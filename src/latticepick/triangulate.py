@@ -14,14 +14,19 @@ with (x, y) points, counterclockwise.  One kernel, the generator
 _steps, pops a triangle off a stack that its caller owns, does either
 kind of split inline, checks that the children are counterclockwise,
 non-degenerate and cover the parent's area, pushes them and yields the
-event.  _refine runs it to the end; gcd_edge_split and interior_split
-take one step of it.  The result is proved as the paper's induction
-goes, in O(n) beyond the splits themselves: _certify_ears proves that
-the n - 2 ears tile the polygon, the directed edges of the ears
-cancelling to the ring's own edges, and _steps proves that each split's
-children tile their parent, so the finished triangles tile the
-polygon.  Triangulation stores the tuples and builds LatticeTriangle
-and SplitEvent objects only when they are first asked for.
+event; unit children that would be popped next are finished where
+they are made.  The generator _refinement ear-clips, certifies the ears
+and runs the kernel to the end as one stream, which the command line
+reads event by event without holding the log; _refine and
+primitive_triangulation collect the same stream into lists, and
+gcd_edge_split and interior_split take one step of the kernel.  The
+result is proved as the paper's induction goes, in O(n) beyond the
+splits themselves: _certify_ears proves that the n - 2 ears tile the
+polygon, the directed edges of the ears cancelling to the ring's own
+edges, and _steps proves that each split's children tile their parent,
+so the finished triangles tile the polygon.  Triangulation stores the
+tuples and builds LatticeTriangle and SplitEvent objects only when they
+are first asked for.
 
 Ear clipping tests a candidate ear against the vertices that could
 block it, in its x-range, or, on the sliver fans where that range holds
@@ -412,7 +417,10 @@ def _steps(stack: list[TriangleTuple],
     primitive, D is the Bezout point with c as the pivot, which lies
     strictly inside, and the children are (a, b, D), (a, D, c) then
     (b, c, D).  The children go on the stack so that the first is
-    popped next.
+    popped next.  But a first child of doubled area 1, and a second
+    one after it, would be popped next and finished: they go straight
+    to ``done``, in the same order, so most unit triangles never touch
+    the stack.
 
     Each child's doubled area is computed from its own corners, and
     the children must all be positive and sum to s; anything else
@@ -459,7 +467,15 @@ def _steps(stack: list[TriangleTuple],
         if total != s:
             raise InternalInvariantError(
                 f"{rule.value} at {d}: children do not cover the parent")
-        stack += children[::-1]
+        # unit children that would be popped next are finished here
+        if s1 > 1:
+            stack += children[::-1]
+        elif s2 > 1:
+            done.append(children[0])
+            stack += children[:0:-1]
+        else:
+            done += children[:2]
+            stack += children[2:]
         yield tri, rule, d, children
 
 
@@ -528,16 +544,28 @@ def _certify_ears(poly: LatticePolygon, ears: list[TriangleTuple]) -> None:
             "ear edges do not cancel to the polygon boundary")
 
 
-def _refine(poly: LatticePolygon
-            ) -> tuple[list[TriangleTuple], list[EventTuple]]:
-    """Refine the ear-clipped triangles of ``poly`` depth-first: the
-    initial triangles in order, each split's children next, in
-    construction order.  Returns the finished triangles in completion
-    order and the split log."""
+def _refinement(poly: LatticePolygon,
+                done: list[TriangleTuple]) -> Iterator[EventTuple]:
+    """Refine ``poly`` depth-first as one stream: ear-clip it, certify
+    the ears, then yield each split event of _steps as it happens while
+    the finished triangles go to ``done``, which starts empty, in
+    completion order.  The initial triangles are refined in order, each
+    split's children next, in construction order.  Once the stream is
+    spent, ``done`` holds exactly twice_polygon_area(poly) triangles,
+    or InternalInvariantError has been raised."""
     stack = [_as_tuple(t) for t in reversed(initial_triangulation(poly))]
     _certify_ears(poly, stack)
+    yield from _steps(stack, done)
+    if len(done) != twice_polygon_area(poly):
+        raise InternalInvariantError(
+            "triangle count must equal the doubled polygon area")
+
+
+def _refine(poly: LatticePolygon
+            ) -> tuple[list[TriangleTuple], list[EventTuple]]:
+    """The finished triangles of _refinement and its split log."""
     done: list[TriangleTuple] = []
-    events = list(_steps(stack, done))
+    events = list(_refinement(poly, done))
     return done, events
 
 
@@ -552,7 +580,4 @@ def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
     their parent, and there are twice_polygon_area(poly) triangles.
     """
     tris, events = _refine(poly)
-    if len(tris) != twice_polygon_area(poly):
-        raise InternalInvariantError(
-            "triangle count must equal the doubled polygon area")
     return Triangulation(tuple(tris), tuple(events))

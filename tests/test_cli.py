@@ -433,19 +433,25 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("fault", FAULTS)
-    def test_certificate_failure_is_internal_error(self, fault, tmp_path,
-                                                   monkeypatch, capsys):
+    @pytest.mark.parametrize("fault,flags", [
+        pytest.param(fault, flags, id=fault + suffix)
+        for suffix, flags in (("", ["--events"]), ("-no_events", []))
+        for fault in FAULTS])
+    def test_certificate_failure_is_internal_error(self, fault, flags,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
         # nothing stands between the kernel's finished triangles and the
         # output, so each fault goes in where the library could be wrong:
-        # the ear list, or one step of the kernel
+        # the ear list, or one step of the kernel.  The command reads
+        # the kernel's events as they come, with or without --events,
+        # and must still write nothing
         name, wrong, caught_by = FAULTS[fault]
         monkeypatch.setattr(triangulate, name,
                             wrong(getattr(triangulate, name)))
         f = tmp_path / "p.txt"
         # edge splits and interior splits both
         f.write_text("0 0\n5 0\n6 4\n2 7\n-2 3\n")
-        assert main(["triangulate", str(f), "--events"]) == EXIT_INTERNAL
+        assert main(["triangulate", str(f)] + flags) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.match(f"internal error: .*({caught_by})", captured.err)
@@ -455,10 +461,17 @@ class TestExitCodes:
                                                 monkeypatch, capsys):
         # the triangles still pass the certificate, but the point text
         # is built from the ring and the split log, which now lacks the
-        # side-2 square's edge midpoints and centre
-        refine = triangulate._refine
-        monkeypatch.setattr(triangulate, "_refine",
-                            lambda poly: (refine(poly)[0], []))
+        # side-2 square's edge midpoints and centre.  triangulate reads
+        # the stream through cli, svg through primitive_triangulation
+        stream = triangulate._refinement
+
+        def withheld(poly, done):
+            for _ in stream(poly, done):
+                pass
+            yield from ()
+
+        for module in (cli, triangulate):
+            monkeypatch.setattr(module, "_refinement", withheld)
         f = tmp_path / "p.txt"
         f.write_text("0 0\n2 0\n2 2\n0 2\n")
         out_file = tmp_path / "p.svg"
@@ -679,7 +692,7 @@ class TestTracerPath:
     def test_triangulate_calls_through_module_globals(self, monkeypatch,
                                                       capsys):
         calls = []
-        for module, name in ((cli, "primitive_triangulation"),
+        for module, name in ((cli, "_refinement"),
                              (triangulate, "initial_triangulation")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls.append(_name)
@@ -687,7 +700,7 @@ class TestTracerPath:
             monkeypatch.setattr(module, name, counted)
         assert main(["triangulate", str(DATA / "pentagon.txt"),
                      "--events"]) == EXIT_OK
-        assert calls == ["primitive_triangulation", "initial_triangulation"]
+        assert calls == ["_refinement", "initial_triangulation"]
         assert capsys.readouterr().out == \
             (GOLDEN / "pentagon" / "triangulate.txt").read_text()
 

@@ -16,8 +16,9 @@ division, in the input's own coordinates, in the private integer
 routine _split_offset, which the refinement kernel in triangulate calls
 on plain ints; interior_split_point is the same construction on three
 LatticePoints, with its preconditions checked.  The Bezout pair comes
-from core._euclid, the plain-int Euclid behind extended_gcd, so no
-BezoutResult is built per split.  The O(n) scan over all n candidate
+from the modular inverse that the builtin pow computes in C, so no
+BezoutResult is built per split; any pair gives the same point, since
+the window holds exactly one.  The O(n) scan over all n candidate
 positions, which also proves the point unique, lives with the tests as
 their oracle.
 """
@@ -32,7 +33,6 @@ from .core import (
     LatticePoint,
     LatticeVector,
     PreconditionError,
-    _euclid,
     _oriented,
 )
 
@@ -43,14 +43,16 @@ def _split_offset(ux: int, uy: int, vx: int, vy: int,
     from its pivot, as an offset from the pivot.
 
     Requires u x v = n > 1 and a primitive w = v - u; the caller checks.
-    A Bezout identity gives p0 with p0 x w = 1, so (n-1) * p0 lies on
-    the line d x w = n - 1.  Each step of w along the line adds
+    The inverse s of wy modulo |wx| (s = wy = +-1 if wx = 0) gives
+    p0 = (s, t) with p0 x w = s * wy - t * wx = 1, so (n-1) * p0 lies
+    on the line d x w = n - 1.  Each step of w along the line adds
     u x w = n to u x d, so one floor division picks the step k that
     brings u x d into the window [0, n - 1], where the segment's
     lattice point provably lies.
     """
     wx, wy = vx - ux, vy - uy
-    _, s, t = _euclid(wy, -wx)              # s*wy - t*wx == 1
+    s = pow(wy, -1, abs(wx)) if wx else wy
+    t = (s * wy - 1) // wx if wx else 0
     k = (n - 1) * (ux * t - uy * s) // n
     return (n - 1) * s - k * wx, (n - 1) * t - k * wy
 

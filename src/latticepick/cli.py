@@ -52,17 +52,15 @@ EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
 #: triangulate and svg refuse a polygon of doubled area 2A above this
-#: before any work, since its triangulation has exactly 2A triangles.
-#: Both hold every finished triangle in memory until every check has
-#: passed, and triangulate --events its lines of text too.  End to end,
-#: in a fresh process with stdout to /dev/null, a square of
-#: 2A = 180 000 took per triangle: triangulate 3.2-3.5 us and 0.22 KB
-#: of peak RSS, --events 4.4-5.1 us and 0.39 KB, svg 5.3-6.5 us and
-#: 0.73 KB (CPython 3.11, 2-core x86-64).  Many vertices cost more:
-#: triangulate took 6.6-8.2 s and 231 MB on the admitted comb of
-#: 220 000 vertices (tests/conftest.py comb_ring(Random(7), 55000),
-#: 2A = 494 624), most of it ear clipping, reading and validating.  So
-#: not every admitted input ends within 3 s.
+#: before any work: it has 2A triangles, all held until every check
+#: has passed (--events: their lines too).  On the side-300 square,
+#: 2A = 180 000, main took per triangle, in CPU time and peak RSS of a
+#: fresh process writing to /dev/null: triangulate 1.8-2.8 us and
+#: 0.22 KB, --events 2.8-4.3 us and 0.39 KB, svg 3.9-4.7 us and 0.73 KB
+#: (CPython 3.11, 2-core x86-64).  Many vertices cost more: triangulate
+#: took 6.6-8.2 s and 231 MB on the admitted comb of 220 000 vertices
+#: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624),
+#: mostly reading, validating and ear clipping.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
@@ -264,35 +262,38 @@ def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     poly = _load(args.file, args.format)
     _guard_triangles(poly)
     # each point printed appears in several lines: turn each into text
-    # once, the ring's first and each split point as its event arrives.
-    # No event is kept: its --events lines are formatted as it arrives,
-    # and every check runs before the first write
+    # once, when it first appears.  No event is kept: its --events lines
+    # are formatted as it arrives, and every check runs before any write
     text = {p: f"{p[0]} {p[1]}" for p in poly.ring}
     done: list[TriangleTuple] = []
     stream = _refinement(poly, done)
     lines: list[str] = []
     if args.events:
-        # keyed by id: hashing an Enum member runs Python code per event
-        name = {id(rule): rule.value for rule in SplitRule}
-        for num, ((a, b, c, _), rule, d, children) in enumerate(stream, 1):
-            # an edge split has two children, an interior split three
-            point = text[d] = f"{d[0]} {d[1]}"
-            if len(children) == 2:
-                (a1, b1, c1, _), (a2, b2, c2, _) = children
-                lines.append(f"event {num} {name[id(rule)]} point {point}\n"
-                             f"  parent {text[a]} {text[b]} {text[c]}\n"
-                             f"  child {text[a1]} {text[b1]} {text[c1]}\n"
-                             f"  child {text[a2]} {text[b2]} {text[c2]}\n")
-            else:
-                (a1, b1, c1, _), (a2, b2, c2, _), (a3, b3, c3, _) = children
-                lines.append(f"event {num} {name[id(rule)]} point {point}\n"
-                             f"  parent {text[a]} {text[b]} {text[c]}\n"
-                             f"  child {text[a1]} {text[b1]} {text[c1]}\n"
-                             f"  child {text[a2]} {text[b2]} {text[c2]}\n"
-                             f"  child {text[a3]} {text[b3]} {text[c3]}\n")
+        edge, interior = (rule.value for rule in SplitRule)
+        # the kernel's children: (p, d, o), (q, o, d), with p, q, o the
+        # corners rotated to start at p, or (a, b, d), (a, d, c), (b, c, d)
+        for num, ((a, b, c, _), _, d, children) in enumerate(stream, 1):
+            if (td := text.get(d)) is None:
+                td = text[d] = f"{d[0]} {d[1]}"
+            ta, tb, tc = text[a], text[b], text[c]
+            if len(children) == 3:
+                lines.append(f"event {num} {interior} point {td}\n"
+                             f"  parent {ta} {tb} {tc}\n"
+                             f"  child {ta} {tb} {td}\n"
+                             f"  child {ta} {td} {tc}\n"
+                             f"  child {tb} {tc} {td}\n")
+                continue
+            p = children[0][0]
+            tp, tq, to = (ta, tb, tc) if p == a else \
+                (tb, tc, ta) if p == b else (tc, ta, tb)
+            lines.append(f"event {num} {edge} point {td}\n"
+                         f"  parent {ta} {tb} {tc}\n"
+                         f"  child {tp} {td} {to}\n"
+                         f"  child {tq} {to} {td}\n")
     else:
         for _, _, d, _ in stream:
-            text[d] = f"{d[0]} {d[1]}"
+            if d not in text:
+                text[d] = f"{d[0]} {d[1]}"
     _check_point_count(poly, len(text))
     _write_lines(out, (f"{text[a]} {text[b]} {text[c]}\n"
                        for a, b, c, _ in done))

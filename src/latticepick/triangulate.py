@@ -14,19 +14,20 @@ with (x, y) points, counterclockwise.  One kernel, the generator
 _steps, pops a triangle off a stack that its caller owns, does either
 kind of split inline, checks that the children are counterclockwise,
 non-degenerate and cover the parent's area, pushes them and yields the
-event; unit children that would be popped next are finished where
-they are made.  The generator _refinement ear-clips, certifies the ears
-and runs the kernel to the end as one stream, which the command line
-reads event by event without holding the log; _refine and
-primitive_triangulation collect the same stream into lists, and
-gcd_edge_split and interior_split take one step of the kernel.  The
-result is proved as the paper's induction goes, in O(n) beyond the
-splits themselves: _certify_ears proves that the n - 2 ears tile the
-polygon, the directed edges of the ears cancelling to the ring's own
-edges, and _steps proves that each split's children tile their parent,
-so the finished triangles tile the polygon.  Triangulation stores the
-tuples and builds LatticeTriangle and SplitEvent objects only when they
-are first asked for.
+event; a unit first child is finished where it is made, and an edge
+split of height 1 finishes its whole fan in one loop, proved by its
+first split's checks.  The generator _refinement
+ear-clips, certifies the ears and runs the kernel to the end as one
+stream, which the command line reads event by event without holding
+the log; _refine and primitive_triangulation collect the same stream
+into lists, and gcd_edge_split and interior_split take one step of the
+kernel.  The result is proved as the paper's induction goes, in O(n)
+beyond the splits themselves: _certify_ears proves that the n - 2 ears
+tile the polygon, the directed edges of the ears cancelling to the
+ring's own edges, and _steps proves that each split's children tile
+their parent, so the finished triangles tile the polygon.
+Triangulation stores the tuples and builds LatticeTriangle and
+SplitEvent objects only when they are first asked for.
 
 Ear clipping tests a candidate ear against the vertices that could
 block it, in its x-range, or, on the sliver fans where that range holds
@@ -411,16 +412,11 @@ def _steps(stack: list[TriangleTuple],
 
     A triangle abc of doubled area s > 1, counterclockwise, splits at
     the first edge PQ, in the order ab, bc, ca, whose deltas have gcd
-    k > 1, with O the opposite vertex: the split point is
-    D = ((k-1)*P + Q) / k, the edge lattice point one step from P, and
-    the children are (P, D, O) then (Q, O, D).  With all edges
-    primitive, D is the Bezout point with c as the pivot, which lies
-    strictly inside, and the children are (a, b, D), (a, D, c) then
-    (b, c, D).  The children go on the stack so that the first is
-    popped next.  But a first child of doubled area 1, and a second
-    one after it, would be popped next and finished: they go straight
-    to ``done``, in the same order, so most unit triangles never touch
-    the stack.
+    k > 1, with O the opposite vertex: at D = P + w, w = (Q - P) / k,
+    into (P, D, O) then (Q, O, D).  With all edges primitive, it splits
+    at the Bezout point D with c as the pivot, strictly inside, into
+    (a, b, D), (a, D, c) then (b, c, D).  The children go on the stack
+    so that the first is popped next; a unit first child goes to ``done``.
 
     Each child's doubled area is computed from its own corners, and
     the children must all be positive and sum to s; anything else
@@ -430,12 +426,26 @@ def _steps(stack: list[TriangleTuple],
     puts d on the line pq and positive children put it strictly between
     p and q.  For an interior split the three areas sum to s for any d,
     and all three are positive only when d is strictly inside.
+
+    An interior split's first child always has doubled area 1:
+    D x w = s - 1 for the offsets u, v, D from c and w = v - u
+    (bezout), so w x (D - u) = 1; a faulty D that passed the checks
+    would leave fewer than 2A triangles, which _refinement rejects.
+    An edge split with s1 = 1 is a fan of height 1, one loop.  The
+    checks put D on PQ with w x (O - P) = 1, so Q = P + s * w, w is
+    primitive, and each (Q, O, D_i), D_i = P + i * w, has doubled area
+    s - i and primitive edges QO and O D_i, as w x (O - Q) =
+    w x (O - D_i) = 1.  One step at a time would split it at D_(i+1),
+    every check holding, into the unit triangle (D_i, D_(i+1), O) and
+    (Q, O, D_(i+1)), popped next: the loop yields those events and
+    finishes the triangles in that order, the last (Q, O, D_(s-1)).
     """
+    pop, append = stack.pop, done.append
     while stack:
-        tri = stack.pop()
+        tri = pop()
         a, b, c, s = tri
         if s == 1:
-            done.append(tri)
+            append(tri)
             continue
         (ax, ay), (bx, by), (cx, cy) = a, b, c
         if (k := gcd(bx - ax, by - ay)) > 1:
@@ -446,11 +456,11 @@ def _steps(stack: list[TriangleTuple],
             p, q, o = c, a, b
         if k > 1:
             (px, py), (qx, qy), (ox, oy) = p, q, o
-            dx, dy = px + (qx - px) // k, py + (qy - py) // k
-            s1 = (dx - px) * (oy - py) - (ox - px) * (dy - py)
+            wx, wy = (qx - px) // k, (qy - py) // k
+            dx, dy = px + wx, py + wy
+            s1 = wx * (oy - py) - (ox - px) * wy
             s2 = (ox - qx) * (dy - qy) - (dx - qx) * (oy - qy)
             rule, d = _EDGE_GCD, (dx, dy)
-            children = (p, d, o, s1), (q, o, d, s2)
             positive, total = s1 > 0 and s2 > 0, s1 + s2
         else:
             dx, dy = _split_offset(ax - cx, ay - cy, bx - cx, by - cy, s)
@@ -459,7 +469,6 @@ def _steps(stack: list[TriangleTuple],
             s2 = (dx - ax) * (cy - ay) - (cx - ax) * (dy - ay)
             s3 = (cx - bx) * (dy - by) - (dx - bx) * (cy - by)
             rule, d = _INTERIOR_POINT, (dx, dy)
-            children = (a, b, d, s1), (a, d, c, s2), (b, c, d, s3)
             positive, total = s1 > 0 and s2 > 0 and s3 > 0, s1 + s2 + s3
         if not positive:
             raise InternalInvariantError(
@@ -467,16 +476,25 @@ def _steps(stack: list[TriangleTuple],
         if total != s:
             raise InternalInvariantError(
                 f"{rule.value} at {d}: children do not cover the parent")
-        # unit children that would be popped next are finished here
+        if k == 1:
+            first, second, third = (a, b, d, s1), (a, d, c, s2), (b, c, d, s3)
+            append(first)
+            stack += third, second
+            yield tri, rule, d, (first, second, third)
+            continue
         if s1 > 1:
-            stack += children[::-1]
-        elif s2 > 1:
-            done.append(children[0])
-            stack += children[:0:-1]
-        else:
-            done += children[:2]
-            stack += children[2:]
-        yield tri, rule, d, children
+            first, rest = (p, d, o, s1), (q, o, d, s2)
+            stack += rest, first
+            yield tri, rule, d, (first, rest)
+            continue
+        rest, d, dx, dy = tri, p, px, py  # a fan of height 1, from P
+        for r in range(s - 1, 0, -1):
+            e = (dx := dx + wx, dy := dy + wy)
+            unit, nxt = (d, e, o, 1), (q, o, e, r)
+            append(unit)
+            yield rest, rule, e, (unit, nxt)
+            d, rest = e, nxt
+        append(rest)
 
 
 def gcd_edge_split(tri: LatticeTriangle) -> SplitEvent | None:
@@ -506,11 +524,9 @@ def interior_split(tri: LatticeTriangle) -> SplitEvent:
     if tri.twice_area <= 1:
         raise PreconditionError("triangle already has doubled area 1")
     corners = tri.vertices
-    for i in range(3):
-        if edge_gcd(corners[i], corners[(i + 1) % 3]) != 1:
-            raise PreconditionError(
-                "interior_split requires all edges primitive; "
-                "apply gcd_edge_split first")
+    if any(edge_gcd(corners[i - 1], corners[i]) != 1 for i in range(3)):
+        raise PreconditionError("interior_split requires all edges "
+                                "primitive; apply gcd_edge_split first")
     return _event(next(_steps([_as_tuple(tri)], [])))
 
 

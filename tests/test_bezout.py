@@ -182,6 +182,25 @@ class TestSplitPoint:
         assert _split_offset(a.x - c.x, a.y - c.y, b.x - c.x, b.y - c.y,
                              n) == (d.x - c.x, d.y - c.y)
 
+    @pytest.mark.parametrize("w", [(0, 1), (0, -1), (1, 0), (-1, 0),
+                                   (1, 6), (-1, 6), (1, -7), (-1, -7),
+                                   (-3, -5), (-5, 2), (4, -9), (7, 3)])
+    def test_offset_for_every_sign_of_w(self, w):
+        # _split_offset inverts wy modulo |wx| for w = v - u: wx = 0
+        # (then wy = +-1), wx = +-1, and negative wx and wy
+        rng = random.Random(f"{w}")
+        wx, wy = w
+        checked = 0
+        while checked < 40:
+            ux, uy = rng.randint(-30, 30), rng.randint(-30, 30)
+            n = ux * wy - uy * wx       # u x v, with v = u + w
+            if n <= 1:
+                continue
+            vx, vy = ux + wx, uy + wy
+            d = split_point_scan(P(ux, uy), P(vx, vy), P(0, 0))
+            assert _split_offset(ux, uy, vx, vy, n) == (d.x, d.y)
+            checked += 1
+
     def test_large_offsets_meet_line_and_window(self):
         # beyond the scan oracle's reach: coordinates up to 2**31, so the
         # doubled area n reaches about 2**63

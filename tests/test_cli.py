@@ -392,6 +392,8 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("work started past the triangle guard")
 
+        # triangulate reads _refinement, svg primitive_triangulation
+        monkeypatch.setattr(cli, "_refinement", unreachable)
         monkeypatch.setattr(cli, "primitive_triangulation", unreachable)
         f = tmp_path / "p.txt"
         f.write_text(f"0 0\n{side} 0\n{side} {side}\n0 {side}\n")
@@ -748,6 +750,19 @@ class TestGoldenCorpus:
             expected = GOLDEN / "invalid" / path.stem / f"{command}.txt"
             assert error_contract(path, command, str(tmp_path)) == \
                 expected.read_text(), f"{command} drifted for {path.name}"
+
+    @pytest.mark.parametrize("path", polygon_files(),
+                             ids=lambda p: p.stem)
+    def test_plain_triangulate_is_the_golden_triangle_lines(self, path,
+                                                            capsys):
+        # without --events, triangulate prints the first 2A lines of
+        # the golden, its triangles, and nothing else
+        golden = GOLDEN / path.stem
+        twice_area = int((golden / "area.txt").read_text().splitlines()[0]
+                         .removeprefix("twice_area="))
+        lines = (golden / "triangulate.txt").read_text().splitlines(True)
+        assert main(["triangulate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(lines[:twice_area])
 
     @pytest.mark.parametrize("path", polygon_files(),
                              ids=lambda p: p.stem)

@@ -695,6 +695,61 @@ class TestKernelOracle:
                 self.same(poly)
 
 
+#: the frames of determinant +1, which keep the ring's vertex order
+FAN_FRAMES = {name: FRAMES[name]
+              for name in ("identity", "skew", "quarter_turn", "shear")}
+
+
+class TestFan:
+    """An edge split whose first child has doubled area 1 finishes its
+    whole fan in one loop of the kernel: its events and finished
+    triangles must be those of splitting one step at a time."""
+
+    @pytest.mark.parametrize("rotation", ["ab", "bc", "ca"])
+    @pytest.mark.parametrize("frame", FAN_FRAMES.values(),
+                             ids=FAN_FRAMES.keys())
+    def test_height_one_fans_match_the_step_replay(self, frame, rotation):
+        # (p, p + k*w, o) with w x (o - p) = 1, rotated so that the fan
+        # edge pq is the triangle's ab, bc or ca
+        rng = random.Random(f"{frame}{rotation}")
+        m00, m01, m10, m11 = frame
+        for k in range(2, 301):
+            # p, w = (1, 0) and o = p + (j, 1) before the frame
+            x0, y0, j = rng.randint(-50, 50), rng.randint(-50, 50), \
+                rng.randint(-k - 3, k + 3)
+            p, q, o = ((m00 * (x0 + x) + m01 * (y0 + y),
+                        m10 * (x0 + x) + m11 * (y0 + y))
+                       for x, y in ((0, 0), (k, 0), (j, 1)))
+            ring = {"ab": (p, q, o), "bc": (o, p, q), "ca": (q, o, p)}
+            poly = validate_polygon([P(*v) for v in ring[rotation]])
+            tris, events = _refine(poly)
+            assert (tuple(tris), tuple(events)) == refine_oracle(poly)
+            assert len(events) == k - 1
+            assert all(e[1] is SplitRule.EDGE_GCD for e in events)
+
+    @pytest.mark.parametrize("frame", FRAMES.values(), ids=FRAMES.keys())
+    def test_interior_split_first_child_is_unit(self, frame):
+        # the Bezout window puts d on d x w = s - 1, so the first child
+        # (a, b, d) has doubled area 1, by the oracle and in the kernel
+        rng = random.Random(23)
+        for _ in range(100):
+            tri = random_splittable_triangle(rng, rng.choice([4, 9, 25]))
+            rule, _, children = split_oracle(*_as_tuple(tri))
+            assert rule is SplitRule.INTERIOR_POINT
+            assert children[0][3] == 1
+        interior = 0
+        for _ in range(20):
+            poly = random_lattice_polygon(rng, rng.randint(3, 9), 12)
+            for _, rule, d, children in _refine(
+                    in_frame(poly.vertices, frame))[1]:
+                if rule is SplitRule.INTERIOR_POINT:
+                    a, b, _, s1 = children[0]
+                    assert s1 == 1
+                    assert twice_signed_area(P(*a), P(*b), P(*d)) == 1
+                    interior += 1
+        assert interior > 0
+
+
 class TestVertexSource:
     """Every triangle vertex is a ring vertex or an event's split
     point, and there are Pick's i + u of them: the command line builds

@@ -28,21 +28,13 @@ from .core import (
     twice_polygon_area,
     validate_polygon,
 )
-# polygon_lattice_points is not called here, but the per-layer tracer
-# of bench/tracing.py looks it up in this module
-from .pick import (  # noqa: F401
-    boundary_count,
-    interior_count_oracle,
-    polygon_lattice_points,
-    verify_pick,
-)
-from .triangulate import (
-    SplitRule,
-    TriangleTuple,
-    Triangulation,
-    _refinement,
-    primitive_triangulation,
-)
+from .pick import boundary_count, interior_count_oracle, verify_pick
+from .triangulate import SplitRule, TriangleTuple, _refinement
+# polygon_lattice_points and primitive_triangulation are not called
+# here, but the per-layer tracer of bench/tracing.py looks them up in
+# this module
+from .pick import polygon_lattice_points  # noqa: F401
+from .triangulate import primitive_triangulation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -53,11 +45,11 @@ EXIT_INTERNAL = 5
 
 #: triangulate and svg refuse a polygon of doubled area 2A above this
 #: before any work: it has 2A triangles, all held until every check
-#: has passed (--events: their lines too).  On the side-300 square,
-#: 2A = 180 000, main took per triangle, in CPU time and peak RSS of a
-#: fresh process writing to /dev/null: triangulate 1.8-2.8 us and
-#: 0.22 KB, --events 2.8-4.3 us and 0.39 KB, svg 3.9-4.7 us and 0.73 KB
-#: (CPython 3.11, 2-core x86-64).  Many vertices cost more: triangulate
+#: has passed (--events: their lines too; svg: its points and text).
+#: On the side-300 square, 2A = 180 000, main took per triangle, in CPU
+#: time and peak RSS of a fresh process writing to /dev/null:
+#: triangulate 1.8-2.8 us and 0.22 KB, --events 2.8-4.3 us and 0.39 KB,
+#: svg 3.3-4.5 us and 0.55 KB (CPython 3.11, 2-core x86-64).  Many vertices cost more: triangulate
 #: took 6.6-8.2 s and 231 MB on the admitted comb of 220 000 vertices
 #: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624),
 #: mostly reading, validating and ear clipping.
@@ -248,16 +240,6 @@ def _check_point_count(poly: LatticePolygon, count: int) -> None:
                                      f"not Pick's i + u = {expected}")
 
 
-def _lattice_points(poly: LatticePolygon,
-                    triangulation: Triangulation) -> set[Point]:
-    """The lattice points of ``poly``, the vertices of its primitive
-    triangles: the ring vertices and the events' split points."""
-    points = set(poly.ring)
-    points.update([d for _, _, d, _ in triangulation.event_tuples])
-    _check_point_count(poly, len(points))
-    return points
-
-
 def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     poly = _load(args.file, args.format)
     _guard_triangles(poly)
@@ -301,14 +283,14 @@ def _cmd_triangulate(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
-    """Render the polygon, its primitive triangulation, and its lattice
-    points (boundary filled, interior hollow, by y then x) as standalone
-    SVG text.  The points are the triangles' vertices, since the
-    triangles tile the polygon and hold no other lattice point; each is
-    a ring vertex or an event's split point, and they are taken from
-    there.  All emitted coordinates are integers, so output is
-    byte-stable."""
+def render_svg(poly: LatticePolygon, triangles: Iterable[TriangleTuple],
+               points: Iterable[Point]) -> str:
+    """Render the polygon, its primitive ``triangles``, and its lattice
+    ``points`` (boundary filled, interior hollow, by y then x) as
+    standalone SVG text.  The points are the triangles' vertices, since
+    the triangles tile the polygon and hold no other lattice point:
+    every corner of a triangle must be one of them.  All emitted
+    coordinates are integers, so output is byte-stable."""
     xs, ys = zip(*poly.ring)
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
@@ -321,8 +303,7 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
     on_edge = {p for points in _edge_lattice_points(poly.ring) for p in points}
     text: dict[Point, str] = {}
     circles: tuple[list[str], list[str]] = ([], [])
-    for p in sorted(_lattice_points(poly, triangulation),
-                    key=lambda p: (p[1], p[0])):
+    for p in sorted(points, key=lambda p: (p[1], p[0])):
         x = str((p[0] - xmin + _SVG_MARGIN) * _SVG_SCALE)
         y = str((ymax - p[1] + _SVG_MARGIN) * _SVG_SCALE)
         text[p] = f"{x},{y}"
@@ -333,7 +314,7 @@ def render_svg(poly: LatticePolygon, triangulation: Triangulation) -> str:
         f'width="{width}" height="{height}">',
         '  <g fill="none" stroke="#999999" stroke-width="1">',
     ]
-    for a, b, c, _ in triangulation.triangle_tuples:
+    for a, b, c, _ in triangles:
         lines.append(f'    <polygon points="{text[a]} {text[b]} {text[c]}"/>')
     lines.append("  </g>")
     outline = " ".join(text[p] for p in poly.ring)
@@ -352,8 +333,13 @@ def _cmd_svg(args: argparse.Namespace, _out: TextIO) -> int:
     poly = _load(args.file, args.format)
     # the only guard: it bounds the i + u <= 2A + 2 points drawn too
     _guard_triangles(poly)
-    result = primitive_triangulation(poly)
-    text = render_svg(poly, result)
+    # the points drawn are the ring and the split points; every check
+    # runs before the file is opened
+    done: list[TriangleTuple] = []
+    points = set(poly.ring)
+    points.update(d for _, _, d, _ in _refinement(poly, done))
+    _check_point_count(poly, len(points))
+    text = render_svg(poly, done, points)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return EXIT_OK

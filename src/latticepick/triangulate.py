@@ -16,16 +16,16 @@ kind of split inline, checks that the children are counterclockwise,
 non-degenerate and cover the parent's area, pushes them and yields the
 event; a unit first child is finished where it is made, and an edge
 split of height 1 finishes its whole fan in one loop, proved by its
-first split's checks.  The generator _refinement
-ear-clips, certifies the ears and runs the kernel to the end as one
-stream, which the command line reads event by event without holding
-the log; _refine and primitive_triangulation collect the same stream
-into lists, and gcd_edge_split and interior_split take one step of the
-kernel.  The result is proved as the paper's induction goes, in O(n)
-beyond the splits themselves: _certify_ears proves that the n - 2 ears
-tile the polygon, the directed edges of the ears cancelling to the
-ring's own edges, and _steps proves that each split's children tile
-their parent, so the finished triangles tile the polygon.
+first split's checks.  The generator _refinement ear-clips, certifies
+the ears and runs the kernel to the end as one stream, which the
+command line's triangulate and svg both read event by event without
+holding the log; primitive_triangulation collects the same stream, and
+gcd_edge_split and interior_split take one step of the kernel.  The
+result is proved as the paper's induction goes, in O(n) beyond the
+splits themselves: _certify_ears proves that the n - 2 ears tile the
+polygon, the directed edges of the ears cancelling to the ring's own
+edges, and _steps proves that each split's children tile their
+parent, so the finished triangles tile the polygon.
 Triangulation stores the tuples and builds LatticeTriangle and
 SplitEvent objects only when they are first asked for.
 
@@ -577,23 +577,18 @@ def _refinement(poly: LatticePolygon,
             "triangle count must equal the doubled polygon area")
 
 
-def _refine(poly: LatticePolygon
-            ) -> tuple[list[TriangleTuple], list[EventTuple]]:
-    """The finished triangles of _refinement and its split log."""
-    done: list[TriangleTuple] = []
-    events = list(_refinement(poly, done))
-    return done, events
-
-
 def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
     """Fully refine ``poly`` into triangles of doubled area 1.
 
-    Work proceeds depth-first: the initial ear-clipped triangles are
-    processed in order, and each split's children are processed next,
-    in construction order.  The result lists triangles in completion
-    order together with the full split-event log.  It is proved as it
-    is built: the ears tile the polygon, each split's children tile
-    their parent, and there are twice_polygon_area(poly) triangles.
+    It collects the stream of _refinement, which the command line reads
+    event by event: the triangles in completion order together with the
+    full split-event log, held in memory.  Work proceeds depth-first:
+    the initial ear-clipped triangles are processed in order, and each
+    split's children are processed next, in construction order.  The
+    result is proved as it is built: the ears tile the polygon, each
+    split's children tile their parent, and there are
+    twice_polygon_area(poly) triangles.
     """
-    tris, events = _refine(poly)
-    return Triangulation(tuple(tris), tuple(events))
+    done: list[TriangleTuple] = []
+    events = tuple(_refinement(poly, done))
+    return Triangulation(tuple(done), events)

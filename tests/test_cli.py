@@ -392,7 +392,8 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("work started past the triangle guard")
 
-        # triangulate reads _refinement, svg primitive_triangulation
+        # both commands read cli._refinement; neither may reach the
+        # library's primitive_triangulation either
         monkeypatch.setattr(cli, "_refinement", unreachable)
         monkeypatch.setattr(cli, "primitive_triangulation", unreachable)
         f = tmp_path / "p.txt"
@@ -435,36 +436,43 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("fault,flags", [
-        pytest.param(fault, flags, id=fault + suffix)
-        for suffix, flags in (("", ["--events"]), ("-no_events", []))
+    @pytest.mark.parametrize("fault,command", [
+        pytest.param(fault, command, id=fault + suffix)
+        for suffix, command in (("", ["triangulate", "--events"]),
+                                ("-no_events", ["triangulate"]),
+                                ("-svg", ["svg", "-o"]))
         for fault in FAULTS])
-    def test_certificate_failure_is_internal_error(self, fault, flags,
+    def test_certificate_failure_is_internal_error(self, fault, command,
                                                    tmp_path, monkeypatch,
                                                    capsys):
         # nothing stands between the kernel's finished triangles and the
         # output, so each fault goes in where the library could be wrong:
-        # the ear list, or one step of the kernel.  The command reads
-        # the kernel's events as they come, with or without --events,
-        # and must still write nothing
+        # the ear list, or one step of the kernel.  Each command reads
+        # the kernel's events as they come, triangulate with or without
+        # --events, and must still write nothing, svg no file
         name, wrong, caught_by = FAULTS[fault]
         monkeypatch.setattr(triangulate, name,
                             wrong(getattr(triangulate, name)))
         f = tmp_path / "p.txt"
         # edge splits and interior splits both
         f.write_text("0 0\n5 0\n6 4\n2 7\n-2 3\n")
-        assert main(["triangulate", str(f)] + flags) == EXIT_INTERNAL
+        out_file = tmp_path / "p.svg"
+        argv = command[:1] + [str(f)] + command[1:]
+        if command[0] == "svg":
+            argv.append(str(out_file))
+        assert main(argv) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.match(f"internal error: .*({caught_by})", captured.err)
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("command", ["triangulate", "svg"])
     def test_lost_split_point_is_internal_error(self, command, tmp_path,
                                                 monkeypatch, capsys):
         # the triangles still pass the certificate, but the point text
         # is built from the ring and the split log, which now lacks the
-        # side-2 square's edge midpoints and centre.  triangulate reads
-        # the stream through cli, svg through primitive_triangulation
+        # side-2 square's edge midpoints and centre.  Both commands read
+        # the stream through cli, and the library's name is withheld too
         stream = triangulate._refinement
 
         def withheld(poly, done):
@@ -564,12 +572,28 @@ class TestOutputs:
             xmin = min(v.x for v in poly.vertices)
             ymax = max(v.y for v in poly.vertices)
             interior, boundary = polygon_lattice_points(poly)
-            filled, hollow = render_svg(poly, result).split('<g fill="#ffffff"')
+            points = set(poly.ring)
+            points.update(d for _, _, d, _ in result.event_tuples)
+            filled, hollow = render_svg(poly, result.triangle_tuples,
+                                        points).split('<g fill="#ffffff"')
             for drawn, expected in ((filled, boundary), (hollow, interior)):
                 assert re.findall(r'<circle cx="(\d+)" cy="(\d+)"', drawn) == [
                     (str((p.x - xmin + cli._SVG_MARGIN) * cli._SVG_SCALE),
                      str((ymax - p.y + cli._SVG_MARGIN) * cli._SVG_SCALE))
                     for p in expected]
+
+    def test_svg_collects_no_event_log(self, tmp_path, monkeypatch):
+        # svg reads the refinement stream; the library's collected log
+        # is never built
+        def unreachable(*args):
+            raise AssertionError("svg collected the split-event log")
+
+        monkeypatch.setattr(cli, "primitive_triangulation", unreachable)
+        out_file = tmp_path / "p.svg"
+        assert main(["svg", str(DATA / "pentagon.txt"),
+                     "-o", str(out_file)]) == EXIT_OK
+        assert out_file.read_bytes() == \
+            (GOLDEN / "pentagon" / "render.svg").read_bytes()
 
     def test_svg_deterministic(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
@@ -692,7 +716,8 @@ class TestTracerPath:
     names up as module globals, and every name it wraps must exist."""
 
     def test_triangulate_calls_through_module_globals(self, monkeypatch,
-                                                      capsys):
+                                                      tmp_path, capsys):
+        # triangulate and svg both
         calls = []
         for module, name in ((cli, "_refinement"),
                              (triangulate, "initial_triangulation")):
@@ -705,6 +730,13 @@ class TestTracerPath:
         assert calls == ["_refinement", "initial_triangulation"]
         assert capsys.readouterr().out == \
             (GOLDEN / "pentagon" / "triangulate.txt").read_text()
+        calls.clear()
+        out_file = tmp_path / "p.svg"
+        assert main(["svg", str(DATA / "pentagon.txt"),
+                     "-o", str(out_file)]) == EXIT_OK
+        assert calls == ["_refinement", "initial_triangulation"]
+        assert out_file.read_bytes() == \
+            (GOLDEN / "pentagon" / "render.svg").read_bytes()
 
     def test_every_traced_name_exists(self):
         path = Path(__file__).parents[1] / "bench" / "tracing.py"

@@ -36,7 +36,6 @@ from latticepick.cli import EXIT_INTERNAL, main, parse_polygon
 from latticepick.triangulate import (
     _as_tuple,
     _certify_ears,
-    _refine,
     _row_frame,
     _row_hit,
 )
@@ -372,7 +371,7 @@ class TestInteriorSplit:
         with pytest.raises(InternalInvariantError, match="degenerate child"):
             interior_split(tri)
         with pytest.raises(InternalInvariantError, match="degenerate child"):
-            _refine(validate_polygon(list(tri.vertices)))
+            primitive_triangulation(validate_polygon(list(tri.vertices)))
 
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200, deadline=None)
@@ -526,12 +525,12 @@ class TestCertificate:
     tests/conftest.py that it replaced, on the same corruptions."""
 
     def test_accepts_the_refinement(self):
-        tris, _ = _refine(PENTAGON)
-        tiling_oracle(PENTAGON, tris)
+        tiling_oracle(PENTAGON,
+                      primitive_triangulation(PENTAGON).triangle_tuples)
 
     @pytest.mark.parametrize("name", CORRUPT)
     def test_rejects_a_corrupted_tiling(self, name):
-        tris, _ = _refine(PENTAGON)
+        tris = list(primitive_triangulation(PENTAGON).triangle_tuples)
         with pytest.raises(InternalInvariantError,
                            match=CAUGHT_BY_ORACLE[name]):
             tiling_oracle(PENTAGON, CORRUPT[name](tris))
@@ -722,8 +721,9 @@ class TestFan:
                        for x, y in ((0, 0), (k, 0), (j, 1)))
             ring = {"ab": (p, q, o), "bc": (o, p, q), "ca": (q, o, p)}
             poly = validate_polygon([P(*v) for v in ring[rotation]])
-            tris, events = _refine(poly)
-            assert (tuple(tris), tuple(events)) == refine_oracle(poly)
+            result = primitive_triangulation(poly)
+            events = result.event_tuples
+            assert (result.triangle_tuples, events) == refine_oracle(poly)
             assert len(events) == k - 1
             assert all(e[1] is SplitRule.EDGE_GCD for e in events)
 
@@ -740,8 +740,8 @@ class TestFan:
         interior = 0
         for _ in range(20):
             poly = random_lattice_polygon(rng, rng.randint(3, 9), 12)
-            for _, rule, d, children in _refine(
-                    in_frame(poly.vertices, frame))[1]:
+            for _, rule, d, children in primitive_triangulation(
+                    in_frame(poly.vertices, frame)).event_tuples:
                 if rule is SplitRule.INTERIOR_POINT:
                     a, b, _, s1 = children[0]
                     assert s1 == 1

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latticepick.core as core
 from latticepick import (
     COORDINATE_LIMIT,
     CoordinateRangeError,
@@ -52,6 +53,7 @@ from tests.conftest import (
     sawtooth_ring,
     shoelace_oracle,
     spiral_cells,
+    staircase_ring,
 )
 
 P = LatticePoint
@@ -421,6 +423,64 @@ def rotated(ring):
     return [(-y, x) for x, y in ring]
 
 
+def small_box_rings(seed=61, count=3000):
+    """Random rings in a 9 x 9 box, most of which touch themselves;
+    every third is an angular sort, which adds simple ones with many
+    collinear vertices."""
+    rng = random.Random(seed)
+    for k in range(count):
+        ring = [(rng.randint(-4, 4), rng.randint(-4, 4))
+                for _ in range(rng.randint(4, 30))]
+        if k % 3 == 0:
+            ring = angular_sort(list(set(ring)))
+        yield ring
+
+
+def planted_fault_rings(seed=67, count=600):
+    """Random polygons with faults planted by plant_faults."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = list(random_lattice_polygon(rng, rng.randint(4, 10), 9).ring)
+        plant_faults(rng, ring)
+        yield ring
+
+
+def clockwise_fault_rings(seed=68, count=600):
+    """Random polygons turned clockwise, half with faults planted, half
+    with one vertex moved anywhere in the box."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = list(random_lattice_polygon(rng, rng.randint(4, 10),
+                                           9).ring)[::-1]
+        if rng.random() < 0.5:
+            plant_faults(rng, ring)
+        else:
+            ring[rng.randrange(len(ring))] = (rng.randint(-9, 9),
+                                              rng.randint(-9, 9))
+        yield ring
+
+
+def perturbed_rectilinear_rings(seed=62, count=600):
+    """Boundaries of random cell unions, sheared, with one vertex moved
+    by at most one step: vertices land on edges, edges overlap, and
+    vertical edges abound.  Unions whose boundary is not simple are
+    skipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = cell_ring(random_polyomino(rng, rng.randint(2, 40)))
+        if ring is None:
+            continue
+        if rng.random() < 0.5:
+            ring = drop_straight_vertices(ring)
+        a, b, c, d = rng.choice(((1, 0, 0, 1), (1, 1, 0, 1),
+                                 (2, 1, 1, 1), (0, -1, 1, 0)))
+        ring = [(a * x + b * y, c * x + d * y) for x, y in ring]
+        j = rng.randrange(len(ring))
+        x, y = ring[j]
+        ring[j] = (x + rng.randint(-1, 1), y + rng.randint(-1, 1))
+        yield ring
+
+
 class TestSimplicitySweep:
     """The sweep in LatticePolygon against the pairwise oracle, on every
     ring and in both orientations: the same verdict and error class, a
@@ -438,15 +498,8 @@ class TestSimplicitySweep:
         return None if None in found else found[0][0]
 
     def test_random_rings_in_a_small_box(self):
-        # most such rings touch themselves; the angular sorts add
-        # simple ones with many collinear vertices
-        rng = random.Random(61)
         outcomes = Counter()
-        for k in range(3000):
-            ring = [(rng.randint(-4, 4), rng.randint(-4, 4))
-                    for _ in range(rng.randint(4, 30))]
-            if k % 3 == 0:
-                ring = angular_sort(list(set(ring)))
+        for ring in small_box_rings():
             outcomes[self.outcome(ring)] += 1
         assert outcomes[None] >= 300
         assert outcomes[SelfIntersectionError] >= 1000
@@ -455,12 +508,8 @@ class TestSimplicitySweep:
         # vertices out of range, repeated and folded back, planted
         # anywhere in any mix: the one pass over the ring must report
         # what the three checks in turn would
-        rng = random.Random(67)
         outcomes = Counter()
-        for _ in range(600):
-            ring = list(random_lattice_polygon(rng, rng.randint(4, 10),
-                                               9).ring)
-            plant_faults(rng, ring)
+        for ring in planted_fault_rings():
             [found] = self.same(ring, both=False)
             outcomes[found and found[0]] += 1
         assert outcomes[CoordinateRangeError] >= 100
@@ -470,16 +519,8 @@ class TestSimplicitySweep:
     def test_clockwise_faults_keep_input_indices(self):
         # validate_polygon checks clockwise input reversed; each fault
         # must still be named by the caller's indices
-        rng = random.Random(68)
         outcomes = Counter()
-        for _ in range(600):
-            ring = list(random_lattice_polygon(rng, rng.randint(4, 10),
-                                               9).ring)[::-1]
-            if rng.random() < 0.5:
-                plant_faults(rng, ring)
-            else:  # one vertex moved anywhere in the box
-                ring[rng.randrange(len(ring))] = (rng.randint(-9, 9),
-                                                  rng.randint(-9, 9))
+        for ring in clockwise_fault_rings():
             vs = [P(x, y) for x, y in ring]
             expected = verdict(pairwise_simplicity_oracle, vs)
             # a clockwise ring the oracle refuses only for its orientation
@@ -493,23 +534,8 @@ class TestSimplicitySweep:
             assert outcomes[kind] >= 30, outcomes
 
     def test_perturbed_rectilinear_rings(self):
-        # boundaries of random cell unions, sheared, with one vertex
-        # moved by at most one step: vertices land on edges, edges
-        # overlap, and vertical edges abound
-        rng = random.Random(62)
         outcomes = Counter()
-        for _ in range(600):
-            ring = cell_ring(random_polyomino(rng, rng.randint(2, 40)))
-            if ring is None:
-                continue
-            if rng.random() < 0.5:
-                ring = drop_straight_vertices(ring)
-            a, b, c, d = rng.choice(((1, 0, 0, 1), (1, 1, 0, 1),
-                                     (2, 1, 1, 1), (0, -1, 1, 0)))
-            ring = [(a * x + b * y, c * x + d * y) for x, y in ring]
-            j = rng.randrange(len(ring))
-            x, y = ring[j]
-            ring[j] = (x + rng.randint(-1, 1), y + rng.randint(-1, 1))
+        for ring in perturbed_rectilinear_rings():
             outcomes[self.outcome(ring)] += 1
         assert outcomes[None] >= 100
         assert outcomes[SelfIntersectionError] >= 100
@@ -610,3 +636,155 @@ class TestSimplicitySweep:
         for ring in (sawtooth_ring(rng, 1000), comb_ring(rng, 500),
                      rotated(comb_ring(rng, 500))):
             validate_polygon([P(x, y) for x, y in ring])
+
+
+def meets_sweep_precondition(ring):
+    """Whether the ring has at least 3 vertices, no vertex equal to the
+    next and no edge that folds back onto the one before."""
+    n = len(ring)
+    if n < 3:
+        return False
+    for i, (ax, ay) in enumerate(ring):
+        (bx, by), (cx, cy) = ring[(i + 1) % n], ring[(i + 2) % n]
+        if (bx, by) == (cx, cy) or (
+                (bx - ax) * (cy - ay) == (cx - ax) * (by - ay)
+                and (bx - ax) * (cx - bx) + (by - ay) * (cy - by) < 0):
+            return False
+    return True
+
+
+def has_contact(vs):
+    n = len(vs)
+    return any(edges_touch(vs, i, j)
+               for i in range(n) for j in range(i + 2, n))
+
+
+def box_work_fits(ring):
+    """Whether the box pre-pass, when it finds no contact on the ring,
+    stays within its budget at every edge it enters, by an upper bound
+    on its work.  By the time it has entered the k-th edge in its order
+    (left x, then the rest of the box), it has visited one active edge
+    for each pair among the first k whose x-ranges meet and at most one
+    more for each of them that left the active list, and it has made
+    one exact test, of core._BOX_TEST units, for each non-adjacent pair
+    among them whose boxes meet."""
+    n = len(ring)
+    boxes = sorted((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
+                    max(a[1], b[1]), i)
+                   for i, (a, b) in enumerate(zip(ring, ring[1:] + ring[:1])))
+    work = 0
+    for k, (xlo, _, ylo, yhi, i) in enumerate(boxes, 1):
+        work += 1
+        for _, uhi, vlo, vhi, j in boxes[:k - 1]:
+            if uhi >= xlo:
+                work += 1
+                if vlo <= yhi and ylo <= vhi and (i - j) % n not in (1, n - 1):
+                    work += core._BOX_TEST
+        if work > core._BOX_WORK_BASE + core._BOX_WORK * k:
+            return False
+    return True
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The sizes of the rings that validation hands to the sweep, one
+    entry per call, recorded by a counter patched onto
+    core._sweep_finds_contact."""
+    sizes = []
+    sweep = core._sweep_finds_contact
+
+    def counting(pts):
+        sizes.append(len(pts))
+        return sweep(pts)
+
+    monkeypatch.setattr(core, "_sweep_finds_contact", counting)
+    return sizes
+
+
+class TestBoxPrePass:
+    """The bounding-box pre-pass proves a ring simple only if it is, by
+    the pairwise oracle's predicate, and proves every simple ring whose
+    box work is within its budget.  Validation runs the sweep only
+    where the pre-pass proves nothing."""
+
+    def test_agrees_with_the_oracle_on_random_rings(self):
+        # the rings of TestSimplicitySweep that meet the precondition,
+        # and more in the small box; the sweep is checked on them too,
+        # since validation now runs it mostly on rings with a contact
+        rings = [ring for family in (small_box_rings(),
+                                     small_box_rings(seed=161),
+                                     planted_fault_rings(),
+                                     clockwise_fault_rings(),
+                                     perturbed_rectilinear_rings())
+                 for ring in family if meets_sweep_precondition(ring)]
+        assert len(rings) >= 4200
+        outcomes = Counter()
+        for ring in rings:
+            vs = [P(x, y) for x, y in ring]
+            simple = not has_contact(vs)
+            proved = core._boxes_prove_simple(tuple(ring))
+            assert simple or not proved, ring
+            fits = simple and box_work_fits(ring)
+            assert proved or not fits, ring
+            pair = core._sweep_finds_contact(tuple(ring))
+            assert (pair is None) == simple, ring
+            assert pair is None or edges_touch(vs, *pair), (pair, ring)
+            outcomes[simple, fits, proved] += 1
+        assert outcomes[True, True, True] >= 2000, outcomes
+        assert outcomes[False, False, False] >= 2000, outcomes
+
+    @pytest.mark.parametrize("name", ["comb", "sawtooth", "staircase"])
+    def test_no_sweep_on_sparse_simple_rings(self, name, sweeps):
+        # 3-4 active edges visited per edge and no exact test, at
+        # n = 600 and at n = 10^4
+        make = {"comb": comb_ring, "sawtooth": sawtooth_ring,
+                "staircase": staircase_ring}[name]
+        rng = random.Random(69)
+        for size in (150, 2500):
+            ring = make(rng, size)
+            validate_polygon([P(x, y) for x, y in ring])
+        assert sweeps == []
+
+    def test_no_sweep_on_random_stars_within_budget(self, sweeps):
+        rng = random.Random(69)
+        stars = [random_lattice_polygon(rng, rng.randint(40, 60), 100).ring
+                 for _ in range(40)]
+        within = [ring for ring in stars if box_work_fits(ring)]
+        assert len(within) >= 30
+        del sweeps[:]  # random_lattice_polygon validates its drafts
+        for ring in within:
+            LatticePolygon(tuple(P(x, y) for x, y in ring))
+        assert sweeps == []
+
+    def test_sweep_names_every_contact(self, sweeps):
+        rings = [ring for ring in small_box_rings(seed=162, count=1200)
+                 if meets_sweep_precondition(ring)]
+        rings.append(TestSimplicitySweep.notched_sawtooth(500))
+        contacts = 0
+        for ring in rings:
+            vs = [P(x, y) for x, y in ring]
+            if not has_contact(vs):
+                continue
+            del sweeps[:]
+            with pytest.raises(SelfIntersectionError):
+                LatticePolygon(tuple(vs))
+            assert sweeps == [len(ring)]
+            contacts += 1
+        assert contacts >= 300
+
+    @pytest.mark.parametrize("name,n", [("spiral", 14644), ("comb90", 10000),
+                                        ("sheared_sawtooth", 603)])
+    def test_sweep_decides_past_the_budget(self, name, n, sweeps):
+        # about 120 and 3700 active edges visited per edge; under the
+        # shear, 3 visits and one exact test per edge: the pre-pass
+        # gives up and the sweep proves the ring simple
+        ring = {
+            "spiral": lambda: cell_ring(spiral_cells(30)),
+            "comb90": lambda: rotated(comb_ring(random.Random(7), 2500)),
+            "sheared_sawtooth": lambda: [
+                (x, 4 * x + y)
+                for x, y in sawtooth_ring(random.Random(7), 300)],
+        }[name]()
+        assert len(ring) == n
+        validate_polygon([P(x, y) for x, y in ring])
+        assert sweeps == [n]

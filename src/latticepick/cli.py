@@ -347,10 +347,10 @@ def _cmd_svg(args: argparse.Namespace, _out: TextIO) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
+    # what a coordinate may be: ASCII digits, no spaces or underscores
+    value = 0
+    if _INT_TOKEN.match(text) and len(text.lstrip("+-")) <= _MAX_DIGITS:
         value = int(text)
-    except ValueError:
-        value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value

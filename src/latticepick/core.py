@@ -51,9 +51,11 @@ class PolygonError(GeometryError):
     indices) in input order, also for clockwise input to
     validate_polygon.  A self-intersection names one pair of
     non-adjacent edges that share a point: the first pair the
-    Shamos-Hoey sweep meets, not always the first in (i, j) order.
-    Every ring with a contact goes to the sweep, so the bounding-box
-    pre-pass that proves simple rings simple changes no pair named.
+    Shamos-Hoey sweep over the vertices meets, the edges that start at
+    two coinciding vertices or two touching edges next to each other in
+    its status, and not always the first in (i, j) order.  Every ring
+    with a contact goes to the sweep, so the bounding-box pre-pass that
+    proves simple rings simple changes no pair named.
     """
 
     def __init__(self, message: str, indices: tuple[int, ...] = ()):
@@ -275,8 +277,9 @@ class LatticePolygon:
     degenerate edges, orientation, and exact boundary simplicity: a
     sort-and-sweep over the edges' bounding boxes proves most simple
     rings simple within O(n) work, and where it does not, an integer
-    Shamos-Hoey sweep, O(n log n) comparisons, decides whether any two
-    non-adjacent edges touch and names the first pair it meets.  Use
+    Shamos-Hoey sweep over the vertices in (x, y) order, one event each
+    and O(n log n) comparisons, decides whether any two non-adjacent
+    edges touch and names the first pair it meets.  Use
     validate_polygon to build one from raw vertices of either
     orientation.
 
@@ -363,10 +366,11 @@ def _check_polygon(poly: LatticePolygon) -> None:
 #: none; the 240 stars of 40-60 vertices in count_large, seeds 1-40,
 #: visit about 6, test up to 1 and run at most 551 units ahead of 6 per
 #: edge.  The budget grows per edge entered, so a dense prefix stops
-#: the pre-pass early.  Before the sweep ran, it took 4-5 % of the
+#: the pre-pass early.  Before the sweep ran, it took 8-10 % of the
 #: sweep's time on tests/conftest.py crossed_star_ring(1004 to 4004),
-#: 19 % on its mirror image x -> -x, whose sweep meets a contact early,
-#: and 5-7 % on the spiral and the 90-degree comb of 10^4 vertices.
+#: 58-75 % on its mirror image x -> -x, whose sweep meets a contact
+#: early, 0.2-1.0 ms against 0.3-1.4 ms, and 11 % on the spiral and the
+#: 90-degree comb of 10^4 vertices.
 _BOX_WORK = 6
 _BOX_WORK_BASE = 640
 _BOX_TEST = 8
@@ -427,29 +431,31 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
     vertex and no fold-back, so that ring-adjacent edges meet only at
     their common vertex.
 
-    Edge i runs from its lexicographically smaller endpoint, where it
-    enters the sweep, to the larger one, where it leaves.  At each
-    point, in (x, y) order, edges enter before edges leave, so edges
-    that only touch there are active together.  The status lists the
-    active edges from bottom to top.  An edge entering at p goes above
-    the edges that pass below p and below those that pass above it;
-    against an edge through p it is ordered by direction, which decides
-    only between edges that both start at p.  An entering edge is
-    tested against its status neighbours, and a leaving edge's two
-    status neighbours against each other.
+    The sweep visits the n vertices in (x, y) order.  Edge i starts at
+    the smaller of its endpoints and ends at the larger, and the status
+    lists the edges started and not yet ended from bottom to top.  Two
+    coinciding vertices u < v are named at once, as the edges u and v
+    that leave them along the ring.  At any other vertex p, one binary
+    search finds the first status edge not strictly below p.  From
+    there, p's edges that end at p leave and those that start at p take
+    their slot, the lower first, and the two new neighbour pairs at the
+    ends of the slot are tested.
 
-    Before the first contact point q, no two active non-adjacent edges
-    meet, so the order is exact, and ring-adjacent edges that start at
-    one vertex are ordered by direction.  Once the edges entering at q
-    are in, the active edges through q sit next to each other in the
-    status.  Each of them has at most one ring neighbour among them, so
-    if two of them are not adjacent, two status neighbours among them
-    are not adjacent either, and they were tested when they became
-    status neighbours.
+    The slot is right by an invariant: until a contact is reported, no
+    two status neighbours that are not ring neighbours share a point,
+    since each pair is tested as it becomes neighbours.  Before the
+    first contact point the status order is exact, so the edges through
+    p sit next to each other, and any two of them that are neighbours
+    are ring neighbours, which meet only at p: p's own edges.  So an
+    end vertex's two edges are status neighbours, a regular vertex's
+    leaving edge is the only edge through it and its entering edge
+    belongs in that slot, and an edge of another vertex through a start
+    vertex becomes the upper neighbour of that vertex's upper edge.
 
     The pair returned is the first pair of status neighbours tested
-    that share a point.  It is a real contact, and the same one on every
-    run of the same ring, but not always the first in (i, j) order.
+    that share a point, or the first two coinciding vertices.  It is a
+    real contact, and the same one on every run of the same ring, but
+    not always the first in (i, j) order.
 
     _check_polygon runs the sweep only where _boxes_prove_simple has
     not proved the ring simple: on every ring with a contact, to name
@@ -457,61 +463,42 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
     validation within O(n log n).
     """
     n = len(pts)
-    left: list[Point] = []
-    right: list[Point] = []
-    events = []
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if b < a:
-            a, b = b, a
-        left.append(a)
-        right.append(b)
-        events.append((a, 0, i))
-        events.append((b, 1, i))
-    events.sort()
 
-    def meet(i: int, j: int) -> tuple[int, int] | None:
+    def meet(s: tuple[Point, Point, int],
+             t: tuple[Point, Point, int]) -> tuple[int, int] | None:
+        i, j = s[2], t[2]
         if (i - j) % n in (1, n - 1) or not _segments_share_point(
-                left[i], right[i], left[j], right[j]):
+                s[0], s[1], t[0], t[1]):
             return None
         return (i, j) if i < j else (j, i)
 
-    status: list[int] = []
-    for p, leaving, e in events:
+    # each status entry is an edge as (start, end, index)
+    status: list[tuple[Point, Point, int]] = []
+    u = -1
+    for v in sorted(range(n), key=pts.__getitem__):
+        p = pts[v]
+        if u >= 0 and pts[u] == p:
+            return u, v  # the sort is stable, so u < v
+        u = v
         px, py = p
+        a, b = pts[v - 1], pts[(v + 1) % n]
+        starts = [(p, q, i) for q, i in ((a, (v - 1) % n), (b, v)) if q > p]
+        if len(starts) == 2 and \
+                (a[0] - px) * (b[1] - py) < (b[0] - px) * (a[1] - py):
+            starts.reverse()  # the edge to b is the lower one
         lo, hi = 0, len(status)
-        if leaving:
-            # the first active edge not strictly below p; e is in the
-            # run of edges through p, at most two when nothing was found
-            while lo < hi:
-                mid = (lo + hi) // 2
-                (ax, ay), (bx, by) = left[status[mid]], right[status[mid]]
-                if (bx - ax) * (py - ay) > (by - ay) * (px - ax):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            k = status.index(e, lo)
-            del status[k]
-            if 0 < k < len(status) and (pair := meet(*status[k - 1:k + 1])):
-                return pair
-            continue
-        rx, ry = right[e]
         while lo < hi:
             mid = (lo + hi) // 2
-            t = status[mid]
-            (ax, ay), (bx, by) = left[t], right[t]
-            side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if side == 0:
-                # p lies on t; if t also starts at p, order by direction
-                side = (bx - px) * (ry - py) - (by - py) * (rx - px)
-            if side > 0:
+            (ax, ay), (bx, by), _ = status[mid]
+            if (bx - ax) * (py - ay) > (by - ay) * (px - ax):
                 lo = mid + 1
             else:
                 hi = mid
-        status.insert(lo, e)
-        if lo > 0 and (pair := meet(status[lo - 1], e)):
+        hi = lo + len(starts)  # the slot status[lo:hi] after the swap
+        status[lo:lo + 2 - len(starts)] = starts
+        if 0 < lo < len(status) and (pair := meet(status[lo - 1], status[lo])):
             return pair
-        if lo + 1 < len(status) and (pair := meet(e, status[lo + 1])):
+        if lo < hi < len(status) and (pair := meet(status[hi - 1], status[hi])):
             return pair
     return None
 

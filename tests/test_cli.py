@@ -335,7 +335,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value,code", [
         ("-5", EXIT_PARSE), ("0", EXIT_PARSE), ("1", EXIT_GUARD),
-        ("abc", EXIT_PARSE), ("1e3", EXIT_PARSE)])
+        ("abc", EXIT_PARSE), ("1e3", EXIT_PARSE), ("+3", EXIT_GUARD),
+        # spelled as int() reads it, but not as a coordinate may be
+        ("1_000", EXIT_PARSE), ("\u0661\u0660", EXIT_PARSE),
+        (" 7", EXIT_PARSE),
+        pytest.param("9" * 5000, EXIT_PARSE, id="5000_digits-2")])
     def test_guard_must_be_positive(self, value, code, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("0 0\n1 0\n0 1\n")

@@ -497,6 +497,18 @@ class TestSimplicitySweep:
         found = self.same(ring)
         return None if None in found else found[0][0]
 
+    @staticmethod
+    def sweep_alone(ring):
+        """The pair the sweep names on the ring, which meets its
+        precondition, asserted to be a real contact.  Validation runs
+        the sweep only where the box pre-pass proves nothing, so this
+        checks it on rings the pre-pass proves simple too."""
+        assert meets_sweep_precondition(ring), ring
+        pair = core._sweep_finds_contact(tuple(ring))
+        assert pair is None or edges_touch([P(x, y) for x, y in ring],
+                                           *pair), (pair, ring)
+        return pair
+
     def test_random_rings_in_a_small_box(self):
         outcomes = Counter()
         for ring in small_box_rings():
@@ -559,6 +571,15 @@ class TestSimplicitySweep:
          (0, 4)),
         # a proper crossing far from every vertex
         ([(0, 0), (10, 1), (10, 3), (1, -5), (0, 9)], (0, 2)),
+        # three vertices at one point
+        ([(0, 0), (2, 1), (2, 2), (0, 0), (-1, 2), (-2, 1), (0, 0), (-1, -2),
+          (1, -2)], (0, 2)),
+        # a vertex on the inside of a foreign edge where both edges of the
+        # vertex start there in the sweep's (x, y) order, and where both
+        # end there
+        ([(0, 0), (6, 0), (8, 2), (3, 3), (10, 4), (12, 6), (6, 6)], (2, 6)),
+        ([(0, 0), (-6, 0), (-8, 2), (-3, 3), (-10, 4), (-12, 6), (-6, 6)],
+         (2, 6)),
     ])
     def test_named_contacts(self, ring, pair):
         # the oracle names the first pair in (i, j) order; the sweep
@@ -568,6 +589,7 @@ class TestSimplicitySweep:
             pairwise_simplicity_oracle(tuple(vs))
         assert exc_info.value.indices == pair
         assert self.outcome(ring) is SelfIntersectionError
+        assert self.sweep_alone(ring) and self.sweep_alone(ring[::-1])
 
     def test_near_misses_are_simple(self):
         # a vertex 1/sqrt(k^2 + 4) away from a long slanted edge, and
@@ -578,8 +600,9 @@ class TestSimplicitySweep:
         assert self.outcome(comb_ring(rng, 40)) is None
         assert self.outcome(rotated(comb_ring(rng, 40))) is None
 
-    @pytest.mark.parametrize("name", ["sawtooth", "comb", "comb90",
-                                      "spiral", "collinear"])
+    @pytest.mark.parametrize("name", [
+        shear + shape for shear in ("", "sheared_")
+        for shape in ("sawtooth", "comb", "comb90", "spiral", "collinear")])
     def test_large_valid_shapes(self, name):
         rng = random.Random(64)
         ring = {
@@ -588,15 +611,22 @@ class TestSimplicitySweep:
             "comb90": lambda: rotated(comb_ring(rng, 150)),
             "spiral": lambda: cell_ring(spiral_cells(6)),
             "collinear": lambda: cell_ring({(x, 0) for x in range(300)}),
-        }[name]()
+        }[name.removeprefix("sheared_")]()
         assert len(ring) >= 600
-        assert self.same(ring, both=False) == [None]
         # one vertex pushed towards the next tooth, arm or side
         j = len(ring) // 2
         x, y = ring[j]
-        for dx, dy in ((1, 0), (0, -1)):
-            self.same(ring[:j] + [(x + dx, y + dy)] + ring[j + 1:],
-                      both=False)
+        rings = [ring] + [ring[:j] + [(x + dx, y + dy)] + ring[j + 1:]
+                          for dx, dy in ((1, 0), (0, -1))]
+        if name.startswith("sheared_"):
+            # by (x, y) -> (x, 4x + y), which slants the vertical edges
+            rings = [[(x, 4 * x + y) for x, y in r] for r in rings]
+        assert self.same(rings[0], both=False) == [None]
+        assert self.sweep_alone(rings[0]) is None
+        for r in rings[1:]:
+            [found] = self.same(r, both=False)
+            if meets_sweep_precondition(r):
+                assert (self.sweep_alone(r) is None) == (found is None)
 
     @staticmethod
     def notched_sawtooth(k):

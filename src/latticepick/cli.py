@@ -50,10 +50,10 @@ EXIT_INTERNAL = 5
 #: time and peak RSS of a fresh process writing to /dev/null:
 #: triangulate 1.8-2.8 us and 0.22 KB, --events 2.8-4.3 us and 0.39 KB,
 #: svg 3.3-4.5 us and 0.55 KB (CPython 3.11, 2-core x86-64).  Many vertices cost more: triangulate
-#: took 5.7-6.2 s and 227 MB on the admitted comb of 220 000 vertices
+#: took 6.0-7.4 s and 228 MB on the admitted comb of 220 000 vertices
 #: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624),
-#: mostly ear clipping, 3.7-4.7 s; reading took 0.4 s and validating
-#: 0.3-0.5 s.
+#: mostly ear clipping, 3.2-3.6 s; reading took 0.4-0.6 s and
+#: validating 0.5-0.6 s.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
@@ -352,7 +352,10 @@ def _positive_int(text: str) -> int:
     if _INT_TOKEN.match(text) and len(text.lstrip("+-")) <= _MAX_DIGITS:
         value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+        # a value too long to read would flood stderr: name its length
+        shown = repr(text) if len(text) <= _MAX_DIGITS + 1 \
+            else f"a value of {len(text)} characters"
+        raise argparse.ArgumentTypeError(f"{shown} is not a positive integer")
     return value
 
 

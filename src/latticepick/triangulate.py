@@ -30,9 +30,9 @@ Triangulation stores the tuples and builds LatticeTriangle and
 SplitEvent objects only when they are first asked for.
 
 Ear clipping tests a candidate ear against the vertices that could
-block it, in its x-range, or, on the sliver fans where that range holds
-most of them, row by row in a reduced lattice frame; both tests are
-exact integer tests, so either finds the same ears.
+block it, indexed by rows in a reduced lattice frame: it reads the
+exact integer interval of each of the triangle's rows that holds one,
+so a sliver fan's ears read a row or two each.
 
 The whole refinement is deterministic: ears are clipped at the first
 eligible vertex in ring order, edges are examined in a fixed order, and
@@ -43,7 +43,7 @@ log.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -177,13 +177,6 @@ class Triangulation:
         return tuple(_event(e) for e in self.event_tuples)
 
 
-#: an ear test scans the candidates in its x-range as long as they are
-#: this few; past that it may read the row index instead.  A row costs
-#: about as much as 6 candidates and a row test's setup about 11 (CPython
-#: 3.11, 2-core x86-64), so below this the index does not pay
-_ROW_SCAN_MIN = 16
-
-
 def _row_frame(pts: Sequence[Point]) -> tuple[Point, Point]:
     """An integer frame (f, g) of determinant +1 in which the points
     ``pts`` (not all on one line) spread least along f.
@@ -221,9 +214,9 @@ def _row_frame(pts: Sequence[Point]) -> tuple[Point, Point]:
 
 
 def _row_index(pts: Sequence[Point], candidate: list[bool]
-               ) -> tuple[list[Point], dict[int, list[int]]]:
-    """The points ``pts`` in the frame (F, G) of _row_frame, and the
-    sorted G of the candidates by their F."""
+               ) -> tuple[list[Point], dict[int, list[int]], list[int]]:
+    """The points ``pts`` in the frame (F, G) of _row_frame, the sorted
+    G of the candidates by their F, and those F sorted."""
     (f0, f1), (g0, g1) = _row_frame(pts)
     fg = [(f0 * x + f1 * y, g0 * x + g1 * y) for x, y in pts]
     rows: dict[int, list[int]] = {}
@@ -232,14 +225,15 @@ def _row_index(pts: Sequence[Point], candidate: list[bool]
             rows.setdefault(f, []).append(g)
     for row in rows.values():
         row.sort()
-    return fg, rows
+    return fg, rows, sorted(rows)
 
 
-def _row_hit(rows: dict[int, list[int]], a: Point, b: Point,
-             c: Point) -> bool:
+def _row_hit(rows: dict[int, list[int]], keys: list[int], a: Point,
+             b: Point, c: Point) -> bool:
     """Whether a point of ``rows`` other than a and c lies in the closed
     counterclockwise triangle abc, all in frame coordinates (F, G):
-    ``rows`` maps F to the sorted G of its points.
+    ``rows`` maps F to the sorted G of its points, and ``keys`` holds
+    its F sorted; only those rows are read, and an empty one is skipped.
 
     Each row F = r of the triangle holds the G of one closed interval,
     from its lower boundary to its upper one, whose integer part
@@ -261,8 +255,8 @@ def _row_hit(rows: dict[int, list[int]], a: Point, b: Point,
         (fu, gu), (fv, gv), (fw, gw), short_low = u, q, p, False
     else:
         (fu, gu), (fv, gv), (fw, gw), short_low = u, p, q, True
-    for r in range(fu, fw + 1):
-        row = rows.get(r)
+    for r in keys[bisect_left(keys, fu):bisect_right(keys, fw)]:
+        row = rows[r]
         if not row:
             continue
         # each side's G at row r as a fraction n / d, d > 0
@@ -312,17 +306,14 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     narrows its neighbours' angles, so a vertex leaves the candidates
     for good once it is found strictly convex.
 
-    The candidates are kept sorted by x, and a triangle tests those in
-    its x-range.  On a sliver fan that range holds most of them for
-    every ear, which made clipping quadratic.  So the candidates are
-    also indexed by rows in the frame of _row_frame, where a fan's
-    slivers span a row or two, and a triangle whose x-range holds more
-    candidates than it has rows, and more than _ROW_SCAN_MIN, reads
-    the exact interval of each of its rows instead (_row_hit).  The
-    frame has determinant +1, so containment and orientation are the
-    same in it and the ears do not change.  The index is built, in
-    O(n log n), once the long x-range scans have visited n candidates,
-    so polygons that never need it never pay for it.
+    The candidates are indexed by rows in the frame of _row_frame,
+    built once in O(n log n) before the first clip: the rows are the
+    lines of constant F, along which the ring spreads least, so a sliver
+    fan's slivers span a row or two.  A triangle reads the exact integer
+    interval of each of its rows that holds a candidate (_row_hit), and
+    a vertex found strictly convex leaves its row.  The frame has
+    determinant +1, so containment and orientation are the same in it
+    as in the plane.
     """
     vs, pts = poly.vertices, poly.ring
     n = len(pts)
@@ -331,16 +322,10 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     candidate = [(bx - ax) * (cy - ay) <= (cx - ax) * (by - ay)
                  for (ax, ay), (bx, by), (cx, cy)
                  in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
-    by_x = sorted([(x, y, i) for i, (x, y) in enumerate(pts) if candidate[i]])
-    # the row index of _row_index, built once the long x-range scans
-    # have visited n candidates
-    fg: list[Point] = []
-    rows: dict[int, list[int]] = {}
-    scanned = 0
+    fg, rows, keys = _row_index(pts, candidate)
 
     def ear_area(b: int) -> int:
         """The doubled area of b's triangle if b is an ear, else 0."""
-        nonlocal fg, rows, scanned
         a, c = prv[b], nxt[b]
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
         area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
@@ -348,32 +333,9 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
             return 0
         if candidate[b]:
             candidate[b] = False
-            del by_x[bisect_left(by_x, (bx, by, b))]
-            if fg:
-                row = rows[fg[b][0]]
-                del row[bisect_left(row, fg[b][1])]
-        lo = bisect_left(by_x, (min(ax, bx, cx),))
-        hi = bisect_left(by_x, (max(ax, bx, cx) + 1,), lo)
-        if fg and hi - lo > _ROW_SCAN_MIN:
-            fa, fb, fc = fg[a][0], fg[b][0], fg[c][0]
-            if hi - lo > max(fa, fb, fc) - min(fa, fb, fc) + 1:
-                return 0 if _row_hit(rows, fg[a], fg[b], fg[c]) else area
-        ymin, ymax = min(ay, by, cy), max(ay, by, cy)
-        for k in range(lo, hi):
-            px, py, j = by_x[k]
-            if py < ymin or py > ymax or j == a or j == c:
-                continue
-            if (bx - ax) * (py - ay) >= (px - ax) * (by - ay) \
-                    and (cx - bx) * (py - by) >= (px - bx) * (cy - by) \
-                    and (ax - cx) * (py - cy) >= (px - cx) * (ay - cy):
-                break
-        else:
-            k = hi
-        if not fg and hi - lo > _ROW_SCAN_MIN:
-            scanned += k - lo
-            if scanned > n:
-                fg, rows = _row_index(pts, candidate)
-        return area if k == hi else 0
+            row = rows[fg[b][0]]
+            del row[bisect_left(row, fg[b][1])]
+        return 0 if _row_hit(rows, keys, fg[a], fg[b], fg[c]) else area
 
     unknown = list(range(n))  # sorted, so already a heap
     queued = [True] * n

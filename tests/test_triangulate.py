@@ -177,9 +177,9 @@ class TestEarClipOracle:
     @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase"])
     def test_sliver_families_in_lattice_frames(self, shape, frame):
         # the shapes of the many_vertices benchmark under
-        # (x, y) -> (2x + y, x + y), (-y, x) and (x + 3y, y); the combs'
-        # fans (and the turned sawtooth's) are tested in the row index,
-        # in the frame it reduces to
+        # (x, y) -> (2x + y, x + y), (-y, x) and (x + 3y, y); every ear
+        # is tested in the row index, in the frame each shape reduces
+        # to, where the combs' fans span a row or two
         rng = random.Random(74)
         ring = {"sawtooth": lambda: sawtooth_ring(rng, 150),
                 "comb": lambda: comb_ring(rng, 100),
@@ -206,8 +206,8 @@ class TestEarClipOracle:
         ring = [(turn * x, turn * y) for x, y in ring]
         tested = []
 
-        def row_hit(rows, a, b, c):
-            tested.append(((a, b, c), _row_hit(rows, a, b, c)))
+        def row_hit(rows, keys, a, b, c):
+            tested.append(((a, b, c), _row_hit(rows, keys, a, b, c)))
             return tested[-1][1]
 
         monkeypatch.setattr(triangulate, "_row_hit", row_hit)
@@ -240,14 +240,23 @@ class TestRowIndex:
                 b, c = c, b
             for p in box:
                 expected = self.inside(p, a, b, c) and p not in (a, c)
-                assert _row_hit({p[0]: [p[1]]}, a, b, c) == expected, (a, b, c, p)
+                assert _row_hit({p[0]: [p[1]]}, [p[0]], a, b, c) == expected, \
+                    (a, b, c, p)
             rows = {}
             for p in box:
                 if p != b and rng.random() < 0.2:
                     rows.setdefault(p[0], []).append(p[1])
             expected = any(self.inside((x, y), a, b, c) and (x, y) not in (a, c)
                            for x, ys in rows.items() for y in ys)
-            assert _row_hit(rows, a, b, c) == expected
+            assert _row_hit(rows, sorted(rows), a, b, c) == expected
+        # rows 1 and 4 emptied by clipping, rows -50 and 90 outside the
+        # triangle (0, 0), (6, 3), (3, 9) though their points lie in its
+        # G-range [0, 9]; row 5 holds G in [2.5, 5], so (5, 4) is inside
+        # and (5, 6) is not
+        a, b, c = (0, 0), (6, 3), (3, 9)
+        for g in (4, 6):
+            rows = {-50: [3], 1: [], 4: [], 5: [g], 90: [4]}
+            assert _row_hit(rows, sorted(rows), a, b, c) == (g == 4)
 
     @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1),
                                        (0, -1, 1, 0), (1, 3, 0, 1),
@@ -290,6 +299,21 @@ class TestEarClipSpeed:
         assert len(tris) == 9998
         assert sum(t.twice_area for t in tris) == twice_polygon_area(poly)
         assert elapsed < 2.0, f"took {elapsed:.2f}s, limit 2s"
+
+    def test_plus_with_long_arms(self):
+        # 12 vertices whose triangles span up to 2e8 rows of the frame:
+        # the row test reads only the rows that hold a candidate, where
+        # a walk over every row of the span would take about 20 s
+        big = 10**8
+        ring = [(0, 0), (big, 0), (big, 1), (1, 1), (1, big), (0, big),
+                (0, 1), (-big, 1), (-big, 0), (-1, 0), (-1, -big),
+                (0, -big)]
+        poly = validate_polygon([P(x, y) for x, y in ring])
+        start = time.perf_counter()
+        tris = initial_triangulation(poly)
+        elapsed = time.perf_counter() - start
+        assert tris == ear_clip_oracle(poly)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
 
 
 class TestGcdEdgeSplit:

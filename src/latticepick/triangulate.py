@@ -29,10 +29,10 @@ parent, so the finished triangles tile the polygon.
 Triangulation stores the tuples and builds LatticeTriangle and
 SplitEvent objects only when they are first asked for.
 
-Ear clipping tests a candidate ear against the vertices that could
-block it, indexed by rows in a reduced lattice frame: it reads the
-exact integer interval of each of the triangle's rows that holds one,
-so a sliver fan's ears read a row or two each.
+Ear clipping tests a candidate ear against the input's vertices that
+are not strictly convex, indexed once by rows in a reduced lattice
+frame: it reads the exact integer interval of each of the triangle's
+rows that holds one, so a sliver fan's ears read a row or two each.
 
 The whole refinement is deterministic: ears are clipped at the first
 eligible vertex in ring order, edges are examined in a fixed order, and
@@ -213,15 +213,17 @@ def _row_frame(pts: Sequence[Point]) -> tuple[Point, Point]:
     return f, g
 
 
-def _row_index(pts: Sequence[Point], candidate: list[bool]
+def _row_index(pts: Sequence[Point]
                ) -> tuple[list[Point], dict[int, list[int]], list[int]]:
-    """The points ``pts`` in the frame (F, G) of _row_frame, the sorted
-    G of the candidates by their F, and those F sorted."""
+    """The points of the counterclockwise ring ``pts`` in the frame
+    (F, G) of _row_frame, the sorted G by their F of the vertices that
+    are not strictly convex, and those F sorted."""
     (f0, f1), (g0, g1) = _row_frame(pts)
     fg = [(f0 * x + f1 * y, g0 * x + g1 * y) for x, y in pts]
     rows: dict[int, list[int]] = {}
-    for j, (f, g) in enumerate(fg):
-        if candidate[j]:
+    for (ax, ay), (bx, by), (cx, cy), (f, g) in zip(
+            pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1], fg):
+        if (bx - ax) * (cy - ay) <= (cx - ax) * (by - ay):
             rows.setdefault(f, []).append(g)
     for row in rows.values():
         row.sort()
@@ -230,10 +232,10 @@ def _row_index(pts: Sequence[Point], candidate: list[bool]
 
 def _row_hit(rows: dict[int, list[int]], keys: list[int], a: Point,
              b: Point, c: Point) -> bool:
-    """Whether a point of ``rows`` other than a and c lies in the closed
-    counterclockwise triangle abc, all in frame coordinates (F, G):
-    ``rows`` maps F to the sorted G of its points, and ``keys`` holds
-    its F sorted; only those rows are read, and an empty one is skipped.
+    """Whether a point of ``rows`` other than a, b and c lies in the
+    closed counterclockwise triangle abc, all in frame coordinates
+    (F, G): ``rows`` maps F to the sorted G of its points, and ``keys``
+    holds its F sorted; only those rows are read.
 
     Each row F = r of the triangle holds the G of one closed interval,
     from its lower boundary to its upper one, whose integer part
@@ -257,8 +259,6 @@ def _row_hit(rows: dict[int, list[int]], keys: list[int], a: Point,
         (fu, gu), (fv, gv), (fw, gw), short_low = u, p, q, True
     for r in keys[bisect_left(keys, fu):bisect_right(keys, fw)]:
         row = rows[r]
-        if not row:
-            continue
         # each side's G at row r as a fraction n / d, d > 0
         n1, d1 = gu * (fw - r) + gw * (r - fu), fw - fu
         if r < fv:
@@ -272,7 +272,7 @@ def _row_hit(rows: dict[int, list[int]], keys: list[int], a: Point,
         top = n2 // d2
         i = bisect_left(row, -(-n1 // d1))
         while i < len(row) and row[i] <= top:
-            if (r, row[i]) != a and (r, row[i]) != c:
+            if (r, row[i]) not in (a, b, c):
                 return True
             i += 1
     return False
@@ -301,41 +301,37 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     That vertex x is not strictly convex because the open segment bx
     meets no edge, so it runs inside the polygon, while both edges at x
     point to the side of x away from b: the inside angle at x holds the
-    direction to b and is at least 180 degrees.  Hence only vertices
-    that are not strictly convex are candidate blockers.  A clip only
-    narrows its neighbours' angles, so a vertex leaves the candidates
-    for good once it is found strictly convex.
+    direction to b and is at least 180 degrees.  A clip only narrows
+    its neighbours' angles, so x was not strictly convex in the input
+    either.  So the index holds the input's vertices that are not
+    strictly convex, built once and never edited, and a triangle abc
+    is tested against all of them but a, b and c.  That finds the x of
+    every blocked triangle, and any alive vertex it finds blocks abc.
+    A clipped vertex blocks no ear: as the strictly convex apex of an
+    empty triangle it lies outside what is left of the polygon, closed,
+    so in no later ear's closed triangle.
 
-    The candidates are indexed by rows in the frame of _row_frame,
-    built once in O(n log n) before the first clip: the rows are the
-    lines of constant F, along which the ring spreads least, so a sliver
-    fan's slivers span a row or two.  A triangle reads the exact integer
-    interval of each of its rows that holds a candidate (_row_hit), and
-    a vertex found strictly convex leaves its row.  The frame has
-    determinant +1, so containment and orientation are the same in it
-    as in the plane.
+    They are kept by rows in the frame of _row_frame, built in
+    O(n log n): the lines of constant F, along which the ring spreads
+    least, so a sliver fan's slivers span a row or two.  A triangle
+    reads the exact integer interval of each of its rows that holds
+    one (_row_hit).  The frame has determinant +1, so containment and
+    orientation are the same in it as in the plane.
     """
     vs, pts = poly.vertices, poly.ring
     n = len(pts)
     prv = [n - 1] + list(range(n - 1))
     nxt = list(range(1, n)) + [0]
-    candidate = [(bx - ax) * (cy - ay) <= (cx - ax) * (by - ay)
-                 for (ax, ay), (bx, by), (cx, cy)
-                 in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
-    fg, rows, keys = _row_index(pts, candidate)
+    fg, rows, keys = _row_index(pts)
 
     def ear_area(b: int) -> int:
         """The doubled area of b's triangle if b is an ear, else 0."""
         a, c = prv[b], nxt[b]
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
         area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        if area <= 0:
+        if area <= 0 or _row_hit(rows, keys, fg[a], fg[b], fg[c]):
             return 0
-        if candidate[b]:
-            candidate[b] = False
-            row = rows[fg[b][0]]
-            del row[bisect_left(row, fg[b][1])]
-        return 0 if _row_hit(rows, keys, fg[a], fg[b], fg[c]) else area
+        return area
 
     unknown = list(range(n))  # sorted, so already a heap
     queued = [True] * n

@@ -696,6 +696,19 @@ def staircase_ring(rng: random.Random, steps: int) -> list[tuple[int, int]]:
     return lower + [(px - 1, py + 1) for px, py in reversed(lower)]
 
 
+def two_way_comb_ring(rng: random.Random, teeth: int) -> list[tuple[int, int]]:
+    """A cell comb of ``teeth`` unit-wide teeth of random height 1-4 on a
+    base row, joined to its image under (x, y) -> (-y - 1, x), without
+    its straight vertices: sliver fans in two lattice directions
+    (ROADMAP known defect 8)."""
+    cells = {(x, 0) for x in range(2 * teeth - 1)}
+    for i in range(teeth):
+        cells |= {(2 * i, y) for y in range(1, 1 + rng.randint(1, 4))}
+    ring = cell_ring(cells | {(-y - 1, x) for x, y in cells})
+    assert ring is not None
+    return drop_straight_vertices(ring)
+
+
 def _square_point(r: int, t: int) -> tuple[int, int]:
     """The point at perimeter position t, 0 <= t < 8r, of the square of
     half-side r, counterclockwise from (r, 0)."""

@@ -41,6 +41,7 @@ from latticepick.triangulate import (
 )
 
 from tests.conftest import (
+    _in_closed_triangle,
     cell_ring,
     comb_ring,
     drop_straight_vertices,
@@ -54,9 +55,26 @@ from tests.conftest import (
     split_oracle,
     staircase_ring,
     tiling_oracle,
+    two_way_comb_ring,
 )
 
 P = LatticePoint
+
+#: ring families for ear clipping, each built from its own Random(74)
+SLIVER_FAMILIES = {
+    "sawtooth": lambda rng: sawtooth_ring(rng, 150),
+    "comb": lambda rng: comb_ring(rng, 100),
+    "staircase": lambda rng: staircase_ring(rng, 124),
+    "spiral": lambda rng: cell_ring(spiral_cells(9)),
+    "two_way_comb": lambda rng: two_way_comb_ring(rng, 75),
+}
+
+
+def sliver_family(shape, frame=(1, 0, 0, 1)):
+    """The ring of SLIVER_FAMILIES[shape] under the lattice map frame."""
+    a, b, c, d = frame
+    return [(a * x + b * y, c * x + d * y)
+            for x, y in SLIVER_FAMILIES[shape](random.Random(74))]
 
 
 def tri_key(t: LatticeTriangle):
@@ -126,7 +144,8 @@ class TestEarClipOracle:
 
     @pytest.mark.parametrize("name", ["sawtooth", "comb", "comb90",
                                       "spiral", "spiral_corners",
-                                      "collinear", "near_misses"])
+                                      "collinear", "near_misses",
+                                      "two_way_comb"])
     def test_adversarial_shapes(self, name):
         rng = random.Random(71)
         ring = {
@@ -144,6 +163,8 @@ class TestEarClipOracle:
             # reflex vertices a tiny distance from a long slanted edge
             "near_misses": lambda: [(0, 0), (401, 2), (401, 5)] + [
                 (x, 1 + (x % 2) * 3) for x in range(199, 0, -1)] + [(0, 4)],
+            # n = 598, fans in two directions (defect 8)
+            "two_way_comb": lambda: two_way_comb_ring(rng, 75),
         }[name]()
         self.same(ring)
         if len(ring) < 1000:
@@ -180,12 +201,39 @@ class TestEarClipOracle:
         # (x, y) -> (2x + y, x + y), (-y, x) and (x + 3y, y); every ear
         # is tested in the row index, in the frame each shape reduces
         # to, where the combs' fans span a row or two
-        rng = random.Random(74)
-        ring = {"sawtooth": lambda: sawtooth_ring(rng, 150),
-                "comb": lambda: comb_ring(rng, 100),
-                "staircase": lambda: staircase_ring(rng, 124)}[shape]()
-        a, b, c, d = frame
-        self.same([(a * x + b * y, c * x + d * y) for x, y in ring])
+        self.same(sliver_family(shape, frame))
+
+    @pytest.mark.parametrize("frame", [(2, 1, 1, 1), (0, -1, 1, 0),
+                                       (1, 3, 0, 1)])
+    @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase",
+                                       "two_way_comb"])
+    def test_clipped_vertices_lie_in_no_later_ear(self, shape, frame):
+        # why the row index is never edited: a clipped vertex, the
+        # strictly convex apex of an empty triangle, lies outside what
+        # is left of the polygon, so in no later ear's closed triangle
+        ring = sliver_family(shape, frame)
+        ears = ear_clip_oracle(validate_polygon([P(x, y) for x, y in ring]))
+        clipped = []
+        for ear in ears:
+            assert not any(_in_closed_triangle(p, *ear.vertices)
+                           for p in clipped), ear
+            # the oracle's ear (prev, cur, next) keeps its order
+            clipped.append(ear.v1)
+
+    @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase",
+                                       "spiral"])
+    def test_row_index_is_never_edited(self, shape, frame, monkeypatch):
+        # every row and the keys as tuples, which a deletion or an
+        # insertion would raise on
+        build = triangulate._row_index
+
+        def frozen(*args):
+            fg, rows, keys = build(*args)
+            return fg, {f: tuple(row) for f, row in rows.items()}, tuple(keys)
+
+        monkeypatch.setattr(triangulate, "_row_index", frozen)
+        self.same(sliver_family(shape, frame))
 
     @pytest.mark.parametrize("turn", [1, -1])
     def test_blocker_at_both_ends_of_a_row_interval(self, turn, monkeypatch):
@@ -226,8 +274,8 @@ class TestRowIndex:
 
     def test_row_hit_is_exact_at_every_point(self):
         # every point of a box around each triangle, alone in the index:
-        # found exactly when it lies in the closed triangle and is
-        # neither a nor c, so both ends of every row interval are exact
+        # found exactly when it lies in the closed triangle and is none
+        # of a, b and c, so both ends of every row interval are exact
         rng = random.Random(75)
         box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
         for _ in range(300):
@@ -239,17 +287,18 @@ class TestRowIndex:
             if area < 0:
                 b, c = c, b
             for p in box:
-                expected = self.inside(p, a, b, c) and p not in (a, c)
+                expected = self.inside(p, a, b, c) and p not in (a, b, c)
                 assert _row_hit({p[0]: [p[1]]}, [p[0]], a, b, c) == expected, \
                     (a, b, c, p)
             rows = {}
             for p in box:
-                if p != b and rng.random() < 0.2:
+                if rng.random() < 0.2:
                     rows.setdefault(p[0], []).append(p[1])
-            expected = any(self.inside((x, y), a, b, c) and (x, y) not in (a, c)
+            expected = any(self.inside((x, y), a, b, c)
+                           and (x, y) not in (a, b, c)
                            for x, ys in rows.items() for y in ys)
             assert _row_hit(rows, sorted(rows), a, b, c) == expected
-        # rows 1 and 4 emptied by clipping, rows -50 and 90 outside the
+        # empty rows 1 and 4 are no hit, rows -50 and 90 outside the
         # triangle (0, 0), (6, 3), (3, 9) though their points lie in its
         # G-range [0, 9]; row 5 holds G in [2.5, 5], so (5, 4) is inside
         # and (5, 6) is not

@@ -50,10 +50,10 @@ EXIT_INTERNAL = 5
 #: time and peak RSS of a fresh process writing to /dev/null:
 #: triangulate 1.8-2.8 us and 0.22 KB, --events 2.8-4.3 us and 0.39 KB,
 #: svg 3.3-4.5 us and 0.55 KB (CPython 3.11, 2-core x86-64).  Many vertices cost more: triangulate
-#: took 4.4-5.3 s and 236 MB on the admitted comb of 220 000 vertices
-#: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624),
-#: of which ear clipping 1.8-2.1 s, reading 0.4-0.5 s and validating
-#: 0.4-0.5 s.
+#: took 4.4-5.8 s and 227 MB on the admitted comb of 220 000 vertices
+#: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624): the
+#: initial triangulation 1.5-2.2 s, reading 0.6-0.9 s, validating
+#: 0.3-0.5 s; turned by 90 degrees 10-11 s: its sweeps hold n/2 and n/4 edges.
 _MAX_TRIANGLES = 5 * 10**5
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.

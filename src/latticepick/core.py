@@ -421,6 +421,24 @@ def _boxes_prove_simple(pts: Sequence[Point]) -> bool:
     return True
 
 
+def _first_not_below(status: Sequence[tuple[Point, Point, int]],
+                     px: int, py: int) -> int:
+    """The index in ``status`` of the first edge not strictly below the
+    point (px, py), by binary search: ``status`` lists edges as
+    (start, end, index), start < end in (x, y) order, from bottom to top
+    along a sweep line that they all cross at that point's place in the
+    (x, y) order."""
+    lo, hi = 0, len(status)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        (ax, ay), (bx, by), _ = status[mid]
+        if (bx - ax) * (py - ay) > (by - ay) * (px - ax):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _sweep_finds_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
     """A pair (i, j), i < j, of non-adjacent closed edges of the ring
     that share a point, or None if there is none, by the Shamos-Hoey
@@ -486,14 +504,7 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
         if len(starts) == 2 and \
                 (a[0] - px) * (b[1] - py) < (b[0] - px) * (a[1] - py):
             starts.reverse()  # the edge to b is the lower one
-        lo, hi = 0, len(status)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (ax, ay), (bx, by), _ = status[mid]
-            if (bx - ax) * (py - ay) > (by - ay) * (px - ax):
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = _first_not_below(status, px, py)
         hi = lo + len(starts)  # the slot status[lo:hi] after the swap
         status[lo:lo + 2 - len(starts)] = starts
         if 0 < lo < len(status) and (pair := meet(status[lo - 1], status[lo])):

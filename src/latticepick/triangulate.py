@@ -1,7 +1,10 @@
 """Refining a simple lattice polygon into triangles of doubled area 1.
 
-The pipeline has two stages.  Ear clipping first cuts the polygon into
-n - 2 lattice triangles using only polygon vertices.  Each triangle is
+The pipeline has two stages.  initial_triangulation first cuts the
+polygon into n - 2 lattice triangles, the "ears", using only polygon
+vertices: one sweep in (x, y) order adds the diagonals that cut it into
+x-monotone pieces, and one stack pass cuts each piece, in O(n log n) on
+every simple ring with no lattice frame and no index.  Each triangle is
 then refined recursively: a triangle with a non-primitive edge splits at
 a lattice point of that edge, and a triangle whose edges are all
 primitive but whose doubled area exceeds 1 splits at the interior point
@@ -16,7 +19,7 @@ kind of split inline, checks that the children are counterclockwise,
 non-degenerate and cover the parent's area, pushes them and yields the
 event; a unit first child is finished where it is made, and an edge
 split of height 1 finishes its whole fan in one loop, proved by its
-first split's checks.  The generator _refinement ear-clips, certifies
+first split's checks.  The generator _refinement builds and certifies
 the ears and runs the kernel to the end as one stream, which the
 command line's triangulate and svg both read event by event without
 holding the log; primitive_triangulation collects the same stream, and
@@ -29,13 +32,8 @@ parent, so the finished triangles tile the polygon.
 Triangulation stores the tuples and builds LatticeTriangle and
 SplitEvent objects only when they are first asked for.
 
-Ear clipping tests a candidate ear against the input's vertices that
-are not strictly convex, indexed once by rows in a reduced lattice
-frame: it reads the exact integer interval of each of the triangle's
-rows that holds one, so a sliver fan's ears read a row or two each.
-
-The whole refinement is deterministic: ears are clipped at the first
-eligible vertex in ring order, edges are examined in a fixed order, and
+The whole refinement is deterministic: the ears depend only on the
+ring's vertices and their order, edges are examined in a fixed order, and
 children are processed depth-first in construction order.  Re-running
 on the same polygon reproduces the identical triangle list and event
 log.
@@ -43,11 +41,9 @@ log.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from heapq import heappop, heappush
+from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -57,6 +53,7 @@ from .core import (
     LatticePolygon,
     Point,
     PreconditionError,
+    _first_not_below,
     _oriented,
     edge_gcd,
     twice_polygon_area,
@@ -159,7 +156,7 @@ class Triangulation:
 
     ``triangle_tuples`` and ``event_tuples`` hold the refinement
     kernel's plain tuples, triangles in completion order and the split
-    log that replays the refinement from the initial ear clipping.
+    log that replays the refinement from the initial triangulation.
     ``triangles`` and ``events`` are the same as LatticeTriangle and
     SplitEvent objects, built with all their checks on first access
     and cached.
@@ -177,189 +174,180 @@ class Triangulation:
         return tuple(_event(e) for e in self.event_tuples)
 
 
-def _row_frame(pts: Sequence[Point]) -> tuple[Point, Point]:
-    """An integer frame (f, g) of determinant +1 in which the points
-    ``pts`` (not all on one line) spread least along f.
+def _diagonals(pts: Sequence[Point]) -> list[tuple[int, int]]:
+    """The diagonals, as pairs of ring indices, that cut the simple
+    counterclockwise ring ``pts`` into x-monotone pieces: the sweep of
+    de Berg, Cheong, van Kreveld and Overmars, Computational Geometry,
+    ch. 3, over the vertices in (x, y) order, which acts as a rotation
+    too small to change any other comparison, so vertical edges and
+    straight vertices need no special case.
 
-    Lagrange-Gauss reduction of the integer scatter form
-    Q(f) = n * sum((f . p)^2) - (sum(f . p))^2, which is positive
-    definite, returns a reduced basis with Q(f) <= Q(g), f a shortest
-    vector.  g is negated if needed so that f[0] * g[1] - f[1] * g[0]
-    is +1, which keeps counterclockwise triangles counterclockwise.
+    A vertex whose neighbours both come after it is a start vertex if
+    it is convex and a split vertex if not; both before it, an end or a
+    merge vertex; else regular.  The status lists, bottom to top, the
+    edges across the sweep line with the polygon above them, each with
+    its helper: the last vertex passed whose segment down to the edge
+    runs inside.  A split vertex joins the helper of the edge below it,
+    and a vertex that ends an edge whose helper is a merge vertex, or
+    takes over as helper from one, joins it.
     """
     n = len(pts)
-    sx = sum(x for x, _ in pts)
-    sy = sum(y for _, y in pts)
-    qxx = n * sum(x * x for x, _ in pts) - sx * sx
-    qxy = n * sum(x * y for x, y in pts) - sx * sy
-    qyy = n * sum(y * y for _, y in pts) - sy * sy
-
-    def form(u: Point, v: Point) -> int:
-        return qxx * u[0] * v[0] + qxy * (u[0] * v[1] + u[1] * v[0]) \
-            + qyy * u[1] * v[1]
-
-    f, g = ((1, 0), (0, 1)) if qxx <= qyy else ((0, 1), (1, 0))
-    qf = form(f, f)
-    while True:
-        # g minus the nearest integer multiple of f
-        mu = (2 * form(f, g) + qf) // (2 * qf)
-        g = (g[0] - mu * f[0], g[1] - mu * f[1])
-        qg = form(g, g)
-        if qg >= qf:
-            break
-        f, g, qf = g, f, qg
-    if f[0] * g[1] - f[1] * g[0] < 0:
-        g = (-g[0], -g[1])
-    return f, g
-
-
-def _row_index(pts: Sequence[Point]
-               ) -> tuple[list[Point], dict[int, list[int]], list[int]]:
-    """The points of the counterclockwise ring ``pts`` in the frame
-    (F, G) of _row_frame, the sorted G by their F of the vertices that
-    are not strictly convex, and those F sorted."""
-    (f0, f1), (g0, g1) = _row_frame(pts)
-    fg = [(f0 * x + f1 * y, g0 * x + g1 * y) for x, y in pts]
-    rows: dict[int, list[int]] = {}
-    for (ax, ay), (bx, by), (cx, cy), (f, g) in zip(
-            pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1], fg):
-        if (bx - ax) * (cy - ay) <= (cx - ax) * (by - ay):
-            rows.setdefault(f, []).append(g)
-    for row in rows.values():
-        row.sort()
-    return fg, rows, sorted(rows)
+    status: list[tuple[Point, Point, int]] = []
+    helper = [0] * n  # by the ring index of the edge's start
+    merge = [False] * n
+    out: list[tuple[int, int]] = []
+    for v in sorted(range(n), key=pts.__getitem__):
+        a, p, b = pts[v - 1], pts[v], pts[(v + 1) % n]
+        px, py = p
+        convex = (px - a[0]) * (b[1] - py) > (py - a[1]) * (b[0] - px)
+        k = _first_not_below(status, px, py)
+        if a < p:  # the edge from a ends here, and it is status[k]
+            if merge[h := helper[v - 1]]:
+                out.append((h, v))
+            if b > p:  # regular, with the polygon above
+                status[k] = (p, b, v)
+                helper[v] = v
+                continue
+            del status[k]
+            if convex:  # end
+                continue
+            merge[v] = True
+        elif b > p:  # start or split
+            status.insert(k, (p, b, v))
+            helper[v] = v
+            if convex:
+                continue
+            j = status[k - 1][2]
+            out.append((helper[j], v))
+            helper[j] = v
+            continue
+        # merge, or regular with the polygon below: the edge below
+        j = status[k - 1][2]
+        if merge[h := helper[j]]:
+            out.append((h, v))
+        helper[j] = v
+    return out
 
 
-def _row_hit(rows: dict[int, list[int]], keys: list[int], a: Point,
-             b: Point, c: Point) -> bool:
-    """Whether a point of ``rows`` other than a, b and c lies in the
-    closed counterclockwise triangle abc, all in frame coordinates
-    (F, G): ``rows`` maps F to the sorted G of its points, and ``keys``
-    holds its F sorted; only those rows are read.
+def _pieces(pts: Sequence[Point],
+            diagonals: list[tuple[int, int]]) -> Iterator[list[int]]:
+    """The pieces into which ``diagonals`` cut the ring ``pts``, each as
+    its ring indices in counterclockwise order.
 
-    Each row F = r of the triangle holds the G of one closed interval,
-    from its lower boundary to its upper one, whose integer part
-    [ceil, floor] is exact in integer floor division.  Sorted by F as
-    u, v, w, the long edge uw bounds every row on one side and the short
-    edges uv (rows before v) and vw (rows from v on) on the other; the
-    short side is the lower one when u, v, w is counterclockwise.
+    Each piece is a face with the polygon on its left and at least one
+    diagonal, so the walks start from the diagonals: from an edge uv a
+    walk goes on along the first edge at v clockwise from vu, and from
+    a ring edge straight to the next vertex with a diagonal.  There the
+    neighbours are sorted counterclockwise from the next ring vertex,
+    through the diagonals' far ends, which lie inside its angle, to the
+    previous one.
     """
-    # rotate so u has the least F, keeping the order counterclockwise
-    if b[0] < a[0] and b[0] <= c[0]:
-        u, p, q = b, c, a
-    elif c[0] < a[0] and c[0] < b[0]:
-        u, p, q = c, a, b
-    else:
-        u, p, q = a, b, c
-    # w has the most F; the short side is the lower one when u, v, w
-    # stays counterclockwise, that is when v is p
-    if p[0] >= q[0]:
-        (fu, gu), (fv, gv), (fw, gw), short_low = u, q, p, False
-    else:
-        (fu, gu), (fv, gv), (fw, gw), short_low = u, p, q, True
-    for r in keys[bisect_left(keys, fu):bisect_right(keys, fw)]:
-        row = rows[r]
-        # each side's G at row r as a fraction n / d, d > 0
-        n1, d1 = gu * (fw - r) + gw * (r - fu), fw - fu
-        if r < fv:
-            n2, d2 = gu * (fv - r) + gv * (r - fu), fv - fu
-        elif fv < fw:
-            n2, d2 = gv * (fw - r) + gw * (r - fv), fw - fv
-        else:
-            n2, d2 = gv, 1
-        if short_low:
-            n1, d1, n2, d2 = n2, d2, n1, d1
-        top = n2 // d2
-        i = bisect_left(row, -(-n1 // d1))
-        while i < len(row) and row[i] <= top:
-            if (r, row[i]) not in (a, b, c):
-                return True
-            i += 1
-    return False
+    n = len(pts)
+    if not diagonals:
+        yield list(range(n))
+        return
+    around: dict[int, list[int]] = {}
+    for u, w in diagonals:
+        around.setdefault(u, []).append(w)
+        around.setdefault(w, []).append(u)
+    for v, ends in around.items():
+        if len(ends) > 1:
+            ox, oy = pts[v]
+            fx, fy = pts[(v + 1) % n]
+            fx, fy = fx - ox, fy - oy
+
+            def before(u: int, w: int) -> int:
+                """Negative if u comes before w counterclockwise from f."""
+                (ux, uy), (wx, wy) = pts[u], pts[w]
+                ux, uy, wx, wy = ux - ox, uy - oy, wx - ox, wy - oy
+                half = (fx * uy - fy * ux <= 0) - (fx * wy - fy * wx <= 0)
+                return half or wx * uy - wy * ux
+
+            ends.sort(key=cmp_to_key(before))
+        around[v] = [(v + 1) % n, *ends, (v - 1) % n]
+    heads = sorted(around)
+    after = dict(zip(heads, heads[1:] + heads[:1]))
+    seen: set[tuple[int, int]] = set()
+    for start in diagonals + [(w, u) for u, w in diagonals]:
+        if start in seen:
+            continue
+        piece: list[int] = []
+        u, w = start
+        while (u, w) not in seen:  # along the diagonal uw
+            seen.add((u, w))
+            piece.append(u)
+            ends = around[w]
+            x = ends[ends.index(u) - 1]
+            if x == ends[0]:  # along the ring to the next diagonal's end
+                j = after[w]
+                piece += range(w, j if w < j else n)
+                if j < w:
+                    piece += range(j)
+                w, x = j, around[j][-2]
+            u, w = w, x
+        yield piece
+
+
+def _monotone_triangles(pts: Sequence[Point], piece: list[int],
+                        out: list[tuple[int, int, int, int]]) -> None:
+    """Append to ``out`` the len(piece) - 2 triangles, as ring indices
+    counterclockwise and the doubled area, of the x-monotone piece
+    ``piece`` of the ring ``pts``, by one stack pass (Garey, Johnson,
+    Preparata and Tarjan, "Triangulating a simple polygon", 1978).
+
+    The vertices are taken in (x, y) order, each on its chain: the lower
+    one runs forward along the piece, the upper one back.  The stack
+    holds the vertices still to be cut off, all on one chain but the
+    bottom one.  A vertex on the other chain, or the last vertex, cuts
+    off every stacked one; a vertex on the same chain cuts off the top
+    as long as their triangle with the next is strictly convex.
+    """
+    ps = [pts[i] for i in piece]
+    lo = ps.index(min(ps))
+    ring, ps = piece[lo:] + piece[:lo], ps[lo:] + ps[:lo]
+    hi = ps.index(max(ps))
+    # the two chains are sorted already, so the sort merges them
+    order = sorted([(ps[t], 0, ring[t]) for t in range(1, hi)]
+                   + [(ps[t], 1, ring[t]) for t in range(len(ps) - 1, hi, -1)])
+    order.append((ps[hi], -1, ring[hi]))
+    stack = [(ps[0], -1, ring[0]), order[0]]
+    for e in order[1:]:
+        (px, py), side, u = e
+        upper = stack[-1][1]
+        fan = side != upper  # the other chain, or the last vertex
+        top = t = stack.pop()
+        while stack:
+            (sx, sy), (tx, ty) = stack[-1][0], t[0]
+            area = (tx - sx) * (py - sy) - (px - sx) * (ty - sy)
+            if upper:
+                area = -area
+            if area <= 0 and not fan:
+                break
+            s = stack.pop()
+            out.append((s[2], u, t[2], area) if upper
+                       else (s[2], t[2], u, area))
+            t = s
+        stack += (top, e) if fan else (t, e)
 
 
 def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
-    """Ear-clip ``poly`` into len(poly) - 2 triangles on its own
-    vertices.
+    """Cut ``poly`` into len(poly) - 2 counterclockwise triangles of
+    positive area on its own vertices, straight ones included.
 
-    An ear is a strictly convex vertex whose closed triangle contains no
-    other ring vertex; the first ear in ring order is clipped each pass.
-    For a validated simple polygon an ear always exists (Meisters,
-    "Polygons have ears", 1975).
-
-    The ring stays a subsequence of the input order, so the first ear
-    is the smallest index found to be one.  A heap holds the vertices
-    whose state is not known, at first all of them.  A clip changes
-    only its two neighbours' triangles, so only they go back on the
-    heap; every vertex found not to be an ear stays so until then.  For
-    a vertex that is not strictly convex that is clear.  A blocked
-    vertex b with neighbours a and c stays blocked because, of the ring
-    vertices in its triangle abc, one farthest from the line ac is not
-    strictly convex (below), so it is no ear, and the triangle never
-    runs empty while abc stands.
-
-    That vertex x is not strictly convex because the open segment bx
-    meets no edge, so it runs inside the polygon, while both edges at x
-    point to the side of x away from b: the inside angle at x holds the
-    direction to b and is at least 180 degrees.  A clip only narrows
-    its neighbours' angles, so x was not strictly convex in the input
-    either.  So the index holds the input's vertices that are not
-    strictly convex, built once and never edited, and a triangle abc
-    is tested against all of them but a, b and c.  That finds the x of
-    every blocked triangle, and any alive vertex it finds blocks abc.
-    A clipped vertex blocks no ear: as the strictly convex apex of an
-    empty triangle it lies outside what is left of the polygon, closed,
-    so in no later ear's closed triangle.
-
-    They are kept by rows in the frame of _row_frame, built in
-    O(n log n): the lines of constant F, along which the ring spreads
-    least, so a sliver fan's slivers span a row or two.  A triangle
-    reads the exact integer interval of each of its rows that holds
-    one (_row_hit).  The frame has determinant +1, so containment and
-    orientation are the same in it as in the plane.
+    The diagonals of _diagonals cut it into x-monotone pieces, which
+    _pieces walks and _monotone_triangles cuts by one stack pass each:
+    O(n log n) comparisons on every simple ring, with no lattice frame
+    and no index.  The list depends only on the ring, so a rerun gives
+    the same one, and _certify_ears proves that it tiles the polygon.
     """
     vs, pts = poly.vertices, poly.ring
-    n = len(pts)
-    prv = [n - 1] + list(range(n - 1))
-    nxt = list(range(1, n)) + [0]
-    fg, rows, keys = _row_index(pts)
-
-    def ear_area(b: int) -> int:
-        """The doubled area of b's triangle if b is an ear, else 0."""
-        a, c = prv[b], nxt[b]
-        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-        area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        if area <= 0 or _row_hit(rows, keys, fg[a], fg[b], fg[c]):
-            return 0
-        return area
-
-    unknown = list(range(n))  # sorted, so already a heap
-    queued = [True] * n
-    out: list[LatticeTriangle] = []
-    b = 0
-    for _ in range(n - 3):
-        while True:
-            if not unknown:
-                raise InternalInvariantError("no ear found in a simple polygon")
-            b = heappop(unknown)
-            queued[b] = False
-            area = ear_area(b)
-            if area:
-                break
-        a, c = prv[b], nxt[b]
-        out.append(LatticeTriangle(vs[a], vs[b], vs[c], area))
-        nxt[a], prv[c] = c, a
-        for v in (a, c):
-            if not queued[v]:
-                queued[v] = True
-                heappush(unknown, v)
-    # the last clipped vertex still points into the remaining triangle
-    c = nxt[b]
-    out.append(LatticeTriangle.from_points(
-        *(vs[i] for i in sorted((c, nxt[c], nxt[nxt[c]])))))
-    if sum(t.twice_area for t in out) != twice_polygon_area(poly):
-        raise InternalInvariantError("ear clipping lost area")
-    return out
+    out: list[tuple[int, int, int, int]] = []
+    for piece in _pieces(pts, _diagonals(pts)):
+        _monotone_triangles(pts, piece, out)
+    if len(out) != len(pts) - 2 or \
+            sum(t[3] for t in out) != twice_polygon_area(poly):
+        raise InternalInvariantError("monotone pieces lost area")
+    return [LatticeTriangle(vs[a], vs[b], vs[c], s) for a, b, c, s in out]
 
 
 def _steps(stack: list[TriangleTuple],
@@ -520,10 +508,10 @@ def _certify_ears(poly: LatticePolygon, ears: list[TriangleTuple]) -> None:
 
 def _refinement(poly: LatticePolygon,
                 done: list[TriangleTuple]) -> Iterator[EventTuple]:
-    """Refine ``poly`` depth-first as one stream: ear-clip it, certify
-    the ears, then yield each split event of _steps as it happens while
-    the finished triangles go to ``done``, which starts empty, in
-    completion order.  The initial triangles are refined in order, each
+    """Refine ``poly`` depth-first as one stream: triangulate it on its
+    vertices, certify those ears, then yield each split event of _steps
+    as it happens while the finished triangles go to ``done``, which
+    starts empty, in completion order.  The initial triangles are refined in order, each
     split's children next, in construction order.  Once the stream is
     spent, ``done`` holds exactly twice_polygon_area(poly) triangles,
     or InternalInvariantError has been raised."""
@@ -541,8 +529,9 @@ def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
     It collects the stream of _refinement, which the command line reads
     event by event: the triangles in completion order together with the
     full split-event log, held in memory.  Work proceeds depth-first:
-    the initial ear-clipped triangles are processed in order, and each
-    split's children are processed next, in construction order.  The
+    the initial triangles on the polygon's vertices are processed in
+    order, and each split's children are processed next, in
+    construction order.  The
     result is proved as it is built: the ears tile the polygon, each
     split's children tile their parent, and there are
     twice_polygon_area(poly) triangles.

@@ -10,11 +10,10 @@ The lattice-point oracles here classify every point of the bounding
 box with the per-point ray test, or count the points that the row scan
 polygon_lattice_points lists; the library counts with floor sums,
 independently of both.  The polygon check that tests every pair of
-non-adjacent edges and the ear clipper that rescans the ring on every
-pass are kept here as oracles for the sweep in latticepick.core and
-the indexed ear clipper in latticepick.triangulate.  The segment-by-
-segment cut check is kept as the oracle for verify_additivity, which
-decides a cut by validating the two parts it makes.  The scan over all
+non-adjacent edges is kept here as the oracle for the sweep in
+latticepick.core.  The segment-by-segment cut check is kept as the
+oracle for verify_additivity, which decides a cut by validating the two
+parts it makes.  The scan over all
 candidate split positions is the oracle for the O(1) Bezout
 construction of latticepick.bezout, and the split step built on that
 scan, which splits one triangle at a time, is the oracle for the
@@ -349,7 +348,7 @@ def split_oracle(a: tuple[int, int], b: tuple[int, int],
 def refine_oracle(poly: LatticePolygon,
                   ) -> tuple[tuple[TriangleTuple, ...], tuple[EventTuple, ...]]:
     """The finished triangles and the split log of refining the
-    ear-clipped triangles of ``poly`` one split_oracle step at a time,
+    initial triangles of ``poly`` one split_oracle step at a time,
     depth-first, children in construction order: what
     primitive_triangulation must give as triangle_tuples and
     event_tuples."""
@@ -573,41 +572,6 @@ def random_cut(rng: random.Random, poly: LatticePolygon,
         return a, LatticePoint(rng.randint(min(xs) - 1, max(xs) + 1),
                                rng.randint(min(ys) - 1, max(ys) + 1)), b
     return a, a, b
-
-
-def _in_closed_triangle(p: LatticePoint, a: LatticePoint, b: LatticePoint,
-                        c: LatticePoint) -> bool:
-    return (twice_signed_area(a, b, p) >= 0
-            and twice_signed_area(b, c, p) >= 0
-            and twice_signed_area(c, a, p) >= 0)
-
-
-def ear_clip_oracle(poly: LatticePolygon) -> list[LatticeTriangle]:
-    """Ear clipping that restarts at the first ring vertex on every
-    pass and tests each candidate ear against the whole ring,
-    O(n^3) at worst; clips the same ears in the same order as
-    initial_triangulation."""
-    ring = list(poly.vertices)
-    out: list[LatticeTriangle] = []
-    while len(ring) > 3:
-        n = len(ring)
-        for i in range(n):
-            prev, cur, nxt = ring[i - 1], ring[i], ring[(i + 1) % n]
-            if twice_signed_area(prev, cur, nxt) <= 0:
-                continue
-            skip = {(i - 1) % n, i, (i + 1) % n}
-            if any(j not in skip and _in_closed_triangle(ring[j], prev, cur, nxt)
-                   for j in range(n)):
-                continue
-            out.append(LatticeTriangle.from_points(prev, cur, nxt))
-            del ring[i]
-            break
-        else:
-            raise InternalInvariantError("no ear found in a simple polygon")
-    out.append(LatticeTriangle.from_points(*ring))
-    if sum(t.twice_area for t in out) != twice_polygon_area(poly):
-        raise InternalInvariantError("ear clipping lost area")
-    return out
 
 
 def cell_ring(cells: set[tuple[int, int]]) -> list[tuple[int, int]] | None:

@@ -1,4 +1,5 @@
-"""Tests for ear clipping and refinement down to doubled-area-1 triangles."""
+"""Tests for the initial triangulation by monotone pieces and the
+refinement down to doubled-area-1 triangles."""
 
 from __future__ import annotations
 
@@ -33,19 +34,12 @@ from latticepick import (
 )
 from latticepick import core, triangulate
 from latticepick.cli import EXIT_INTERNAL, main, parse_polygon
-from latticepick.triangulate import (
-    _as_tuple,
-    _certify_ears,
-    _row_frame,
-    _row_hit,
-)
+from latticepick.triangulate import _as_tuple, _certify_ears
 
 from tests.conftest import (
-    _in_closed_triangle,
     cell_ring,
     comb_ring,
     drop_straight_vertices,
-    ear_clip_oracle,
     random_lattice_polygon,
     random_polyomino,
     random_splittable_triangle,
@@ -60,7 +54,8 @@ from tests.conftest import (
 
 P = LatticePoint
 
-#: ring families for ear clipping, each built from its own Random(74)
+#: ring families for the initial triangulation, each built from its
+#: own Random(74)
 SLIVER_FAMILIES = {
     "sawtooth": lambda rng: sawtooth_ring(rng, 150),
     "comb": lambda rng: comb_ring(rng, 100),
@@ -68,6 +63,12 @@ SLIVER_FAMILIES = {
     "spiral": lambda rng: cell_ring(spiral_cells(9)),
     "two_way_comb": lambda rng: two_way_comb_ring(rng, 75),
 }
+
+
+#: the lattice maps the families are tested in, as (a, b, c, d) for
+#: (x, y) -> (a x + b y, c x + d y)
+SLIVER_FRAMES = [(2, 1, 1, 1), (0, -1, 1, 0), (1, 3, 0, 1), (1, 0, 0, 1),
+                 (0, 1, 1, 0)]
 
 
 def sliver_family(shape, frame=(1, 0, 0, 1)):
@@ -133,14 +134,51 @@ class TestInitialTriangulation:
             assert set(t.vertices) <= set(poly.vertices)
 
 
+def vertex_classes(ring) -> Counter:
+    """How many vertices of the ring, made counterclockwise, are split
+    and merge vertices of the sweep in (x, y) order: reflex, with both
+    neighbours after them or both before them."""
+    pts = validate_polygon([P(x, y) for x, y in ring]).ring
+    kinds = Counter()
+    for i, p in enumerate(pts):
+        a, b = pts[i - 1], pts[(i + 1) % len(pts)]
+        if (p[0] - a[0]) * (b[1] - p[1]) < (p[1] - a[1]) * (b[0] - p[0]):
+            if a > p and b > p:
+                kinds["split"] += 1
+            elif a < p and b < p:
+                kinds["merge"] += 1
+    return kinds
+
+
+#: generators of GL2(Z) as (a, b, c, d): a quarter turn, two shears and
+#: a mirror
+UNIMODULAR = ((0, -1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0))
+
+
+def compose(word) -> tuple[int, int, int, int]:
+    """The product of the UNIMODULAR generators indexed by ``word``."""
+    a, b, c, d = 1, 0, 0, 1
+    for g in word:
+        e, f, g_, h = UNIMODULAR[g]
+        a, b, c, d = e * a + f * c, e * b + f * d, g_ * a + h * c, g_ * b + h * d
+    return a, b, c, d
+
+
 class TestEarClipOracle:
-    """initial_triangulation against the ear clipper that rescans the
-    ring on every pass (tests/conftest.py), triangle for triangle."""
+    """initial_triangulation by its properties: len(poly) - 2
+    counterclockwise triangles on the ring's vertices that the ear
+    certificate accepts, and the same list on a second run."""
 
     def same(self, ring, start=0):
         ring = ring[start:] + ring[:start]
         poly = validate_polygon([P(x, y) for x, y in ring])
-        assert initial_triangulation(poly) == ear_clip_oracle(poly)
+        tris = initial_triangulation(poly)
+        assert len(tris) == len(poly) - 2
+        assert all(t.twice_area == twice_signed_area(*t.vertices) > 0
+                   for t in tris)
+        assert {v for t in tris for v in t.vertices} <= set(poly.vertices)
+        _certify_ears(poly, [_as_tuple(t) for t in tris])
+        assert initial_triangulation(poly) == tris
 
     @pytest.mark.parametrize("name", ["sawtooth", "comb", "comb90",
                                       "spiral", "spiral_corners",
@@ -152,7 +190,7 @@ class TestEarClipOracle:
             # n = 2003, x-monotone
             "sawtooth": lambda: sawtooth_ring(rng, 1000),
             "comb": lambda: comb_ring(rng, 150),
-            # teeth along y: every triangle's x-range spans the teeth
+            # teeth along y: a merge vertex between every two teeth
             "comb90": lambda: [(-y, x) for x, y in comb_ring(rng, 150)],
             # n = 1372, every boundary lattice point a vertex
             "spiral": lambda: cell_ring(spiral_cells(9)),
@@ -193,176 +231,86 @@ class TestEarClipOracle:
             ring = [(v.x, v.y) for v in poly.vertices]
             self.same(ring, start=rng.randrange(len(ring)))
 
-    @pytest.mark.parametrize("frame", [(2, 1, 1, 1), (0, -1, 1, 0),
-                                       (1, 3, 0, 1)])
-    @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase"])
+    @pytest.mark.parametrize("frame", SLIVER_FRAMES)
+    @pytest.mark.parametrize("shape", SLIVER_FAMILIES)
     def test_sliver_families_in_lattice_frames(self, shape, frame):
-        # the shapes of the many_vertices benchmark under
-        # (x, y) -> (2x + y, x + y), (-y, x) and (x + 3y, y); every ear
-        # is tested in the row index, in the frame each shape reduces
-        # to, where the combs' fans span a row or two
+        # the shapes of the many_vertices benchmark, the spiral and the
+        # two-way comb under (x, y) -> (2x + y, x + y), (-y, x),
+        # (x + 3y, y), the identity and the mirror (y, x)
         self.same(sliver_family(shape, frame))
 
-    @pytest.mark.parametrize("frame", [(2, 1, 1, 1), (0, -1, 1, 0),
-                                       (1, 3, 0, 1)])
-    @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase",
-                                       "two_way_comb"])
-    def test_clipped_vertices_lie_in_no_later_ear(self, shape, frame):
-        # why the row index is never edited: a clipped vertex, the
-        # strictly convex apex of an empty triangle, lies outside what
-        # is left of the polygon, so in no later ear's closed triangle
-        ring = sliver_family(shape, frame)
-        ears = ear_clip_oracle(validate_polygon([P(x, y) for x, y in ring]))
-        clipped = []
-        for ear in ears:
-            assert not any(_in_closed_triangle(p, *ear.vertices)
-                           for p in clipped), ear
-            # the oracle's ear (prev, cur, next) keeps its order
-            clipped.append(ear.v1)
+    @pytest.mark.parametrize("shape", SLIVER_FAMILIES)
+    def test_sliver_families_have_split_and_merge_vertices(self, shape):
+        # no golden input has a merge vertex, and only comb.txt and
+        # l_shape.txt have split vertices; in the frames above every
+        # family has both
+        kinds = sum((vertex_classes(sliver_family(shape, frame))
+                     for frame in SLIVER_FRAMES), Counter())
+        assert kinds["split"] > 0 and kinds["merge"] > 0
 
-    @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1)])
-    @pytest.mark.parametrize("shape", ["sawtooth", "comb", "staircase",
-                                       "spiral"])
-    def test_row_index_is_never_edited(self, shape, frame, monkeypatch):
-        # every row and the keys as tuples, which a deletion or an
-        # insertion would raise on
-        build = triangulate._row_index
-
-        def frozen(*args):
-            fg, rows, keys = build(*args)
-            return fg, {f: tuple(row) for f, row in rows.items()}, tuple(keys)
-
-        monkeypatch.setattr(triangulate, "_row_index", frozen)
-        self.same(sliver_family(shape, frame))
-
-    @pytest.mark.parametrize("turn", [1, -1])
-    def test_blocker_at_both_ends_of_a_row_interval(self, turn, monkeypatch):
-        # a polyomino boundary (seeded random_polyomino of 60 cells) and
-        # its half-turn; the row frame is (x, y) itself.  The ear
-        # (-6, 1), (4, -1), (4, 0) is tested in the rows and blocked
-        # only by the reflex vertex (3, 0), whose row x = 3 holds
-        # y in [-0.8, 0.1], so the integer interval [0, 0] ends at it on
-        # both sides (after the half-turn: [-0.1, 0.8])
-        ring = [(-6, 0), (-5, 0), (-5, -1), (-4, -1), (-4, -2), (-4, -3),
-                (-3, -3), (-2, -3), (-2, -4), (-2, -5), (-1, -5), (-1, -4),
-                (-1, -3), (0, -3), (0, -4), (1, -4), (1, -3), (2, -3),
-                (2, -2), (3, -2), (4, -2), (4, -1), (4, 0), (3, 0), (3, 1),
-                (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (1, 3), (1, 4),
-                (1, 5), (0, 5), (-1, 5), (-2, 5), (-3, 5), (-4, 5), (-5, 5),
-                (-6, 5), (-6, 4), (-5, 4), (-4, 4), (-4, 3), (-5, 3), (-5, 2),
-                (-5, 1), (-6, 1)]
-        ring = [(turn * x, turn * y) for x, y in ring]
-        tested = []
-
-        def row_hit(rows, keys, a, b, c):
-            tested.append(((a, b, c), _row_hit(rows, keys, a, b, c)))
-            return tested[-1][1]
-
-        monkeypatch.setattr(triangulate, "_row_hit", row_hit)
-        self.same(ring)
-        ear = tuple((turn * x, turn * y) for x, y in ((-6, 1), (4, -1), (4, 0)))
-        assert (ear, True) in tested
-
-
-class TestRowIndex:
-    """The pieces of the ear clipper's row index against brute force."""
-
-    @staticmethod
-    def inside(p, a, b, c):
-        return all((q[0] - o[0]) * (p[1] - o[1]) >= (p[0] - o[0]) * (q[1] - o[1])
-                   for o, q in ((a, b), (b, c), (c, a)))
-
-    def test_row_hit_is_exact_at_every_point(self):
-        # every point of a box around each triangle, alone in the index:
-        # found exactly when it lies in the closed triangle and is none
-        # of a, b and c, so both ends of every row interval are exact
-        rng = random.Random(75)
-        box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
-        for _ in range(300):
-            a, b, c = (tuple(rng.randint(-4, 4) for _ in range(2))
-                       for _ in range(3))
-            area = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-            if area == 0:
-                continue
-            if area < 0:
-                b, c = c, b
-            for p in box:
-                expected = self.inside(p, a, b, c) and p not in (a, b, c)
-                assert _row_hit({p[0]: [p[1]]}, [p[0]], a, b, c) == expected, \
-                    (a, b, c, p)
-            rows = {}
-            for p in box:
-                if rng.random() < 0.2:
-                    rows.setdefault(p[0], []).append(p[1])
-            expected = any(self.inside((x, y), a, b, c)
-                           and (x, y) not in (a, b, c)
-                           for x, ys in rows.items() for y in ys)
-            assert _row_hit(rows, sorted(rows), a, b, c) == expected
-        # empty rows 1 and 4 are no hit, rows -50 and 90 outside the
-        # triangle (0, 0), (6, 3), (3, 9) though their points lie in its
-        # G-range [0, 9]; row 5 holds G in [2.5, 5], so (5, 4) is inside
-        # and (5, 6) is not
-        a, b, c = (0, 0), (6, 3), (3, 9)
-        for g in (4, 6):
-            rows = {-50: [3], 1: [], 4: [], 5: [g], 90: [4]}
-            assert _row_hit(rows, sorted(rows), a, b, c) == (g == 4)
-
-    @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1),
-                                       (0, -1, 1, 0), (1, 3, 0, 1),
-                                       (-1, 0, 0, 1)])
-    def test_frame_is_reduced_with_determinant_one(self, frame):
-        a, b, c, d = frame
-        pts = [(a * x + b * y, c * x + d * y)
-               for x, y in comb_ring(random.Random(76), 40)]
-        (f0, f1), (g0, g1) = _row_frame(pts)
-        assert f0 * g1 - f1 * g0 == 1
-        n = len(pts)
-
-        def spread(u0, u1):
-            vals = [u0 * x + u1 * y for x, y in pts]
-            return n * sum(v * v for v in vals) - sum(vals) ** 2
-
-        # the comb's rows are its own: f . p is y in the comb's frame
-        assert sorted({f0 * x + f1 * y for x, y in pts}) in (
-            list(range(0, 6)), list(range(-5, 1)))
-        assert spread(f0, f1) == min(spread(u0, u1)
-                                     for u0 in range(-5, 6)
-                                     for u1 in range(-5, 6) if (u0, u1) != (0, 0))
-        assert spread(f0, f1) <= spread(g0, g1)
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           size=st.integers(min_value=2, max_value=70),
+           straight=st.booleans(),
+           word=st.lists(st.integers(min_value=0, max_value=3), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_polyominoes_in_unimodular_frames(self, seed, size,
+                                                      straight, word):
+        ring = cell_ring(random_polyomino(random.Random(seed), size))
+        if ring is None:
+            return
+        if not straight:
+            ring = drop_straight_vertices(ring)
+        a, b, c, d = compose(word)
+        self.same([(a * x + b * y, c * x + d * y) for x, y in ring],
+                  start=seed % len(ring))
 
 
 class TestEarClipSpeed:
-    """Defect 8: ear clipping was quadratic on sliver fans, 6.1 s on this
-    comb and 8.3 s on its image, and the triangle guard admits combs
-    up to n = 2.2e5."""
+    """Defect 8: ear clipping was quadratic on sliver fans, 6.1 s on the
+    comb of 10^4 vertices and 8.3 s on its image, and later on fans in
+    two lattice directions; the triangle guard admits combs up to
+    n = 2.2e5.  The sweep into monotone pieces is O(n log n) on every
+    ring."""
+
+    def timed(self, ring, limit):
+        poly = validate_polygon([P(x, y) for x, y in ring])
+        start = time.perf_counter()
+        tris = initial_triangulation(poly)
+        elapsed = time.perf_counter() - start
+        assert len(tris) == len(ring) - 2
+        assert sum(t.twice_area for t in tris) == twice_polygon_area(poly)
+        assert elapsed < limit, f"took {elapsed:.2f}s, limit {limit}s"
+        return poly, tris
 
     @pytest.mark.parametrize("frame", [(1, 0, 0, 1), (2, 1, 1, 1)])
     def test_comb_of_ten_thousand_vertices(self, frame):
         a, b, c, d = frame
         ring = [(a * x + b * y, c * x + d * y)
                 for x, y in comb_ring(random.Random(7), 2500)]
-        poly = validate_polygon([P(x, y) for x, y in ring])
-        start = time.perf_counter()
-        tris = initial_triangulation(poly)
-        elapsed = time.perf_counter() - start
-        assert len(tris) == 9998
-        assert sum(t.twice_area for t in tris) == twice_polygon_area(poly)
-        assert elapsed < 2.0, f"took {elapsed:.2f}s, limit 2s"
+        assert len(ring) == 10000
+        self.timed(ring, 2.0)
+
+    def test_two_way_comb_of_ten_thousand_vertices(self):
+        # n = 9998; ear clipping with the row index took 2.7-4.0 s
+        ring = two_way_comb_ring(random.Random(7), 1250)
+        assert len(ring) == 9998
+        self.timed(ring, 1.0)
+
+    def test_spiral_of_sixty_turns(self):
+        # n = 58 084, each lattice point of the boundary a vertex; ear
+        # clipping with the row index took 2.15 s
+        ring = cell_ring(spiral_cells(60))
+        assert len(ring) == 58084
+        self.timed(ring, 1.0)
 
     def test_plus_with_long_arms(self):
-        # 12 vertices whose triangles span up to 2e8 rows of the frame:
-        # the row test reads only the rows that hold a candidate, where
-        # a walk over every row of the span would take about 20 s
+        # 12 vertices with arms of 10^8: the work depends on n only
         big = 10**8
         ring = [(0, 0), (big, 0), (big, 1), (1, 1), (1, big), (0, big),
                 (0, 1), (-big, 1), (-big, 0), (-1, 0), (-1, -big),
                 (0, -big)]
-        poly = validate_polygon([P(x, y) for x, y in ring])
-        start = time.perf_counter()
-        tris = initial_triangulation(poly)
-        elapsed = time.perf_counter() - start
-        assert tris == ear_clip_oracle(poly)
-        assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
+        poly, tris = self.timed(ring, 1.0)
+        _certify_ears(poly, [_as_tuple(t) for t in tris])
 
 
 class TestGcdEdgeSplit:
@@ -681,7 +629,7 @@ class TestCrossCheck:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_events_match_public_split_replay(self, seed):
-        # replay the ear clipping with the split oracle of
+        # replay the initial triangles with the split oracle of
         # tests/conftest.py, which shares no code with the kernel, on
         # LatticeTriangle and SplitEvent objects
         rng = random.Random(seed)

@@ -2,8 +2,8 @@
 counts, primitive triangulations, and SVG renderings out.
 
 Exit codes: 0 success, 1 I/O failure, 2 parse error (file or command
-line), 3 invalid polygon, 4 enumeration guard exceeded, 5 internal
-invariant violation.
+line), 3 invalid polygon, 4 size guard exceeded, 5 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -20,19 +22,19 @@ from typing import Iterable, TextIO
 from .core import (
     GeometryError,
     InternalInvariantError,
-    LatticePoint,
     LatticePolygon,
     Point,
     PolygonError,
     _edge_lattice_points,
+    _ring_polygon,
     twice_polygon_area,
-    validate_polygon,
 )
 from .pick import boundary_count, interior_count_oracle, verify_pick
 from .triangulate import SplitRule, TriangleTuple, _refinement
-# polygon_lattice_points and primitive_triangulation are not called
-# here, but the per-layer tracer of bench/tracing.py looks them up in
-# this module
+# validate_polygon, polygon_lattice_points and primitive_triangulation
+# are not called here, but the per-layer tracer of bench/tracing.py
+# looks them up in this module
+from .core import validate_polygon  # noqa: F401
 from .pick import polygon_lattice_points  # noqa: F401
 from .triangulate import primitive_triangulation  # noqa: F401
 
@@ -49,12 +51,23 @@ EXIT_INTERNAL = 5
 #: On the side-300 square, 2A = 180 000, main took per triangle, in CPU
 #: time and peak RSS of a fresh process writing to /dev/null:
 #: triangulate 1.8-2.8 us and 0.22 KB, --events 2.8-4.3 us and 0.39 KB,
-#: svg 3.3-4.5 us and 0.55 KB (CPython 3.11, 2-core x86-64).  Many vertices cost more: triangulate
-#: took 4.4-5.8 s and 227 MB on the admitted comb of 220 000 vertices
-#: (tests/conftest.py comb_ring(Random(7), 55000), 2A = 494 624): the
-#: initial triangulation 1.5-2.2 s, reading 0.6-0.9 s, validating
-#: 0.3-0.5 s; turned by 90 degrees 10-11 s: its sweeps hold n/2 and n/4 edges.
+#: svg 3.3-4.5 us and 0.55 KB (CPython 3.11, 2-core x86-64).  Many
+#: vertices cost more: triangulate took 2.7-3.0 s of CPU and 164 MB on
+#: the admitted comb of 220 000 vertices (tests/conftest.py
+#: comb_ring(Random(7), 55000), 2A = 494 624): the initial triangulation
+#: 0.9-1.3 s, reading 0.2-0.3 s, validating 0.3-0.4 s; turned by 90
+#: degrees 6.0 s: its sweeps hold n/2 and n/4 edges.
 _MAX_TRIANGLES = 5 * 10**5
+#: every command refuses a regular file of more bytes than this before
+#: it reads a byte, so that no input drives a process much past 0.6 GB.
+#: Reading and validating peak at about 29 B per byte of a plain file
+#: of "x y" lines and 21 B of a JSON one, about 250 B per vertex:
+#: area on comb_ring(Random(7), 250000), n = 10^6 and 8.8 MB, took 2.1 s
+#: of CPU and peaked at 262 MB, the spiral cell_ring(spiral_cells(120))
+#: of 231 364 vertices 32 B per byte, and at this limit the comb of
+#: 1 880 000 vertices (16.7 MB) 4.2 s and 479 MB, fresh processes with
+#: 16.5 MB after import (CPython 3.11, 2-core x86-64).
+_MAX_INPUT_BYTES = 16 * 2**20
 #: count and pick refuse a polygon whose bounding box holds more lattice
 #: points than --max-box-points, by default this, before any work.
 _MAX_BOX_POINTS = 10**8
@@ -67,7 +80,13 @@ _TOKEN = re.compile(r"\S+")
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300  # int()'s default limit, far beyond COORDINATE_LIMIT
 _COORD = rf"([+-]?[0-9]{{1,{_MAX_DIGITS}}})"
-_VERTEX_LINE = re.compile(rf"[ \t]*{_COORD}[ \t]+{_COORD}[ \t]*\Z")
+#: one line of the plain format with no comment: blank, or a vertex of
+#: two _COORDs split and padded by spaces and tabs.  The ^ lets a match
+#: start only at a line start, so a search past a line that does not
+#: match tries each later position in O(1); without it, a line of 20 000
+#: digits took 1.5 s, quadratic in its length
+_PLAIN_LINE = re.compile(rf"^[ \t]*(?:{_COORD}[ \t]+{_COORD}[ \t]*)?(?:\n|\Z)",
+                         re.MULTILINE)
 _SVG_SCALE = 24  # SVG units per lattice step
 _SVG_MARGIN = 1  # lattice steps of blank border around the bounding box
 
@@ -90,21 +109,44 @@ class _GuardError(GeometryError):
     """The input is over a size guard of the command line."""
 
 
-def _parse_plain(text: str) -> list[LatticePoint]:
+def _parse_plain(text: str) -> list[Point]:
+    # fast path: a text with no comment and no carriage return whose
+    # lines _PLAIN_LINE matches, each one whole line that _parse_lines
+    # would read the same way, so the matches must meet end to end and
+    # reach the end of the text.  _parse_lines reads any other text or
+    # names the line and column of its fault
+    if "#" not in text and "\r" not in text:
+        pairs = []
+        end = 0
+        for match in _PLAIN_LINE.finditer(text):
+            if match.start() != end:
+                break
+            end = match.end()
+            if match[1]:
+                pairs.append((int(match[1]), int(match[2])))
+        else:
+            if end == len(text):
+                return pairs
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> list[Point]:
     vertices = []
     # break lines only where open() does; str.splitlines also breaks at
     # form feeds, U+2028 and the like, inside comments too
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
-        # fast path: two signed runs of at most _MAX_DIGITS ASCII digits,
-        # split and padded by spaces and tabs.  _TOKEN splits there too,
-        # so the tokenizing code below would pass the same two tokens
-        # and read the same ints.  Every other line goes to that code,
-        # which reads it or names the line and column of its fault.
-        match = _VERTEX_LINE.match(line)
+        # a line that _PLAIN_LINE matches is blank or two signed runs of
+        # at most _MAX_DIGITS ASCII digits, split and padded by spaces
+        # and tabs.  _TOKEN splits there too, so the tokenizing code below
+        # would pass the same two tokens and read the same ints.  Every
+        # other line goes to that code, which reads it or names the line
+        # and column of its fault.
+        match = _PLAIN_LINE.match(line)
         if match:
-            vertices.append(LatticePoint(int(match[1]), int(match[2])))
+            if match[1]:
+                vertices.append((int(match[1]), int(match[2])))
             continue
         if not line.strip():
             continue
@@ -123,11 +165,11 @@ def _parse_plain(text: str) -> list[LatticePoint]:
                 raise PolygonParseError(f"coordinate over {_MAX_DIGITS} digits",
                                         line=lineno, column=column)
             coords.append(int(tok))
-        vertices.append(LatticePoint(coords[0], coords[1]))
+        vertices.append((coords[0], coords[1]))
     return vertices
 
 
-def _parse_structured(text: str) -> list[LatticePoint]:
+def _parse_structured(text: str) -> list[Point]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -140,10 +182,11 @@ def _parse_structured(text: str) -> list[LatticePoint]:
         raise PolygonParseError("expected a top-level array of [x, y] pairs")
     vertices = []
     for idx, item in enumerate(data):
+        # json reads every integer literal as an exact int
         if not isinstance(item, list) or len(item) != 2 or \
                 any(isinstance(c, bool) or not isinstance(c, int) for c in item):
             raise PolygonParseError(f"element {idx} is not an [x, y] integer pair")
-        vertices.append(LatticePoint(item[0], item[1]))
+        vertices.append((item[0], item[1]))
     return vertices
 
 
@@ -161,16 +204,20 @@ def parse_polygon(text: str, fmt: str = "auto",
     if fmt == "auto":
         fmt = _sniff_format(text, source)
     if fmt == "plain":
-        vertices = _parse_plain(text)
+        ring = _parse_plain(text)
     elif fmt == "structured":
-        vertices = _parse_structured(text)
+        ring = _parse_structured(text)
     else:
         raise ValueError(f"unknown polygon format {fmt!r}")
-    return validate_polygon(vertices)
+    return _ring_polygon(tuple(ring))
 
 
 def _load(path: str, fmt: str) -> LatticePolygon:
     with open(path, "r", encoding="utf-8") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > _MAX_INPUT_BYTES:
+            raise _GuardError(f"input of {info.st_size} bytes is over the "
+                              f"limit of {_MAX_INPUT_BYTES}")
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterator, Sequence
 
 #: Coordinates beyond this magnitude are rejected when polygons are
@@ -284,36 +283,43 @@ class LatticePolygon:
     orientation.
 
     The polygon carries its vertices as (x, y) int pairs, ``ring``, and
-    its doubled area, ``twice_area``.  Each is computed once, by the
-    validation, and read from then on by every integer kernel; neither
-    takes part in equality or hashing.
+    its doubled area, ``twice_area``, both set by the validation and
+    read from then on by every integer kernel; neither takes part in
+    equality or hashing.  The command line builds its polygons from the
+    int ring alone (_ring_polygon), and such a polygon makes its
+    ``vertices`` on first access, so a caller that never asks for them
+    builds no LatticePoint.
     """
 
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        _check_polygon(self)
+        ring = tuple([(v.x, v.y) for v in self.vertices])
+        doubled = _twice_area(ring)
+        _check_polygon(ring, doubled)
+        self.__dict__.update(ring=ring, twice_area=doubled)
+
+    def __getattr__(self, name: str) -> tuple[LatticePoint, ...]:
+        # only a polygon built by _ring_polygon lacks its vertices
+        if name != "vertices":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        vertices = tuple([LatticePoint(x, y) for x, y in self.ring])
+        self.__dict__["vertices"] = vertices
+        return vertices
 
     def __len__(self) -> int:
-        return len(self.vertices)
-
-    @cached_property
-    def ring(self) -> tuple[Point, ...]:
-        """The vertices as (x, y) int pairs, in the same order."""
-        return tuple([(v.x, v.y) for v in self.vertices])
-
-    @cached_property
-    def twice_area(self) -> int:
-        """The doubled area by the shoelace sum: a positive int."""
-        return _twice_area(self.ring)
+        return len(self.ring)
 
     def edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
-def _check_polygon(poly: LatticePolygon) -> None:
-    ring = poly.ring
+def _check_polygon(ring: tuple[Point, ...], doubled: int) -> None:
+    """Raise a PolygonError for the first fault found in the ring
+    ``ring`` of doubled signed area ``doubled``, or return if it has
+    none."""
     n = len(ring)
     if n < 3:
         raise TooFewVerticesError(f"need at least 3 vertices, got {n}")
@@ -333,7 +339,7 @@ def _check_polygon(poly: LatticePolygon) -> None:
                 and (bx - ax) * (cx - bx) + (by - ay) * (cy - by) < 0:
             fold = min(fold, i)
     if far < n:
-        raise CoordinateRangeError(f"vertex {far} at {poly.vertices[far]} "
+        raise CoordinateRangeError(f"vertex {far} at {LatticePoint(*ring[far])} "
                                    "exceeds |coordinate| <= 2**31", (far,))
     if repeat < n:
         j = (repeat + 1) % n
@@ -351,9 +357,9 @@ def _check_polygon(poly: LatticePolygon) -> None:
         if pair:
             i, j = pair
             raise SelfIntersectionError(f"edges {i} and {j} intersect", pair)
-    if poly.twice_area == 0:
+    if doubled == 0:
         raise ZeroAreaError("polygon has zero area")
-    if poly.twice_area < 0:
+    if doubled < 0:
         raise PolygonError("vertices must wind counterclockwise; "
                            "use validate_polygon to normalize orientation")
 
@@ -514,18 +520,39 @@ def _sweep_finds_contact(pts: Sequence[Point]) -> tuple[int, int] | None:
     return None
 
 
+def _polygon(ring: tuple[Point, ...], doubled: int) -> LatticePolygon:
+    _check_polygon(ring, doubled)
+    poly = object.__new__(LatticePolygon)
+    poly.__dict__.update(ring=ring, twice_area=doubled)
+    return poly
+
+
+def _ring_polygon(ring: tuple[Point, ...]) -> LatticePolygon:
+    """The LatticePolygon of the ring ``ring`` of (x, y) pairs of exact
+    ints, reversed if it winds clockwise, built as validate_polygon
+    builds it but with its shoelace sum taken once and its vertices
+    made only on first access.  Raises the same PolygonError, with
+    indices into ``ring`` in either orientation."""
+    doubled = _twice_area(ring)
+    if doubled < 0:
+        try:
+            return _polygon(ring[:1] + ring[:0:-1], -doubled)
+        except PolygonError:
+            pass  # the same fault is raised below, in the caller's order
+    return _polygon(ring, doubled)
+
+
 def validate_polygon(vertices: Sequence[LatticePoint]) -> LatticePolygon:
     """Build a LatticePolygon from raw vertices, reversing clockwise
     input so the result always winds counterclockwise.  Raises a
     PolygonError subclass describing the first problem found, with
     indices into ``vertices`` in either orientation."""
     vs = tuple(vertices)
-    if len(vs) >= 3 and _twice_area([(v.x, v.y) for v in vs]) < 0:
-        try:
-            return LatticePolygon(vs[:1] + vs[:0:-1])
-        except PolygonError:
-            pass  # the same fault is raised below, in the caller's order
-    return LatticePolygon(vs)
+    ring = tuple([(v.x, v.y) for v in vs])
+    poly = _ring_polygon(ring)
+    # the caller's own points, in the polygon's order
+    poly.__dict__["vertices"] = vs if poly.ring is ring else vs[:1] + vs[:0:-1]
+    return poly
 
 
 def twice_polygon_area(poly: LatticePolygon) -> int:

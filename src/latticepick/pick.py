@@ -242,7 +242,7 @@ def verify_pick(poly: LatticePolygon) -> PickCount:
     is a bug."""
     interior = interior_count_oracle(poly)
     boundary = boundary_count(poly)
-    if boundary < len(poly.vertices):
+    if boundary < len(poly.ring):
         raise InternalInvariantError(
             "boundary count fell below the vertex count")
     return PickCount(interior, boundary, twice_polygon_area(poly))

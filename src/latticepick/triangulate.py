@@ -12,25 +12,28 @@ located by the Bezout construction.  Every split strictly reduces the
 children's areas, so the process terminates with exactly
 twice_polygon_area unit-doubled-area ("primitive") triangles.
 
-Refinement runs on plain tuples: a triangle is (a, b, c, twice_area)
-with (x, y) points, counterclockwise.  One kernel, the generator
-_steps, pops a triangle off a stack that its caller owns, does either
-kind of split inline, checks that the children are counterclockwise,
-non-degenerate and cover the parent's area, pushes them and yields the
-event; a unit first child is finished where it is made, and an edge
-split of height 1 finishes its whole fan in one loop, proved by its
-first split's checks.  The generator _refinement builds and certifies
-the ears and runs the kernel to the end as one stream, which the
-command line's triangulate and svg both read event by event without
-holding the log; primitive_triangulation collects the same stream, and
-gcd_edge_split and interior_split take one step of the kernel.  The
-result is proved as the paper's induction goes, in O(n) beyond the
-splits themselves: _certify_ears proves that the n - 2 ears tile the
-polygon, the directed edges of the ears cancelling to the ring's own
-edges, and _steps proves that each split's children tile their
-parent, so the finished triangles tile the polygon.
-Triangulation stores the tuples and builds LatticeTriangle and
-SplitEvent objects only when they are first asked for.
+Everything between the polygon's int ring and the output runs on plain
+tuples: a triangle is (a, b, c, twice_area) with (x, y) points,
+counterclockwise.  _ears cuts the ring into such tuples, and
+initial_triangulation only wraps them as LatticeTriangles for a caller
+of the library.  One kernel, the generator _steps, pops a triangle off
+a stack that its caller owns, does either kind of split inline, checks
+that the children are counterclockwise, non-degenerate and cover the
+parent's area, pushes them and yields the event; a unit first child is
+finished where it is made, and an edge split of height 1 finishes its
+whole fan in one loop, proved by its first split's checks.  The
+generator _refinement takes the ears from _ears, certifies them and
+runs the kernel to the end as one stream, which the command line's
+triangulate and svg both read event by event without holding the log;
+primitive_triangulation collects the same stream, and gcd_edge_split
+and interior_split take one step of the kernel.  The result is proved
+as the paper's induction goes, in O(n) beyond the splits themselves:
+_certify_ears proves that the n - 2 ears tile the polygon, the directed
+edges of the ears cancelling to the ring's own edges, and _steps
+proves that each split's children tile their parent, so the finished
+triangles tile the polygon.  Triangulation stores the tuples and
+builds LatticeTriangle and SplitEvent objects only when they are first
+asked for.
 
 The whole refinement is deterministic: the ears depend only on the
 ring's vertices and their order, edges are examined in a fixed order, and
@@ -330,6 +333,19 @@ def _monotone_triangles(pts: Sequence[Point], piece: list[int],
         stack += (top, e) if fan else (t, e)
 
 
+def _ears(poly: LatticePolygon) -> list[TriangleTuple]:
+    """The n - 2 triangles of initial_triangulation, as
+    (a, b, c, twice_area) tuples of (x, y) points."""
+    pts = poly.ring
+    out: list[tuple[int, int, int, int]] = []
+    for piece in _pieces(pts, _diagonals(pts)):
+        _monotone_triangles(pts, piece, out)
+    if len(out) != len(pts) - 2 or \
+            sum(t[3] for t in out) != twice_polygon_area(poly):
+        raise InternalInvariantError("monotone pieces lost area")
+    return [(pts[a], pts[b], pts[c], s) for a, b, c, s in out]
+
+
 def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     """Cut ``poly`` into len(poly) - 2 counterclockwise triangles of
     positive area on its own vertices, straight ones included.
@@ -339,15 +355,12 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     O(n log n) comparisons on every simple ring, with no lattice frame
     and no index.  The list depends only on the ring, so a rerun gives
     the same one, and _certify_ears proves that it tiles the polygon.
+    It is _ears, the tuples that the refinement reads, as
+    LatticeTriangle objects on the polygon's own LatticePoints.
     """
-    vs, pts = poly.vertices, poly.ring
-    out: list[tuple[int, int, int, int]] = []
-    for piece in _pieces(pts, _diagonals(pts)):
-        _monotone_triangles(pts, piece, out)
-    if len(out) != len(pts) - 2 or \
-            sum(t[3] for t in out) != twice_polygon_area(poly):
-        raise InternalInvariantError("monotone pieces lost area")
-    return [LatticeTriangle(vs[a], vs[b], vs[c], s) for a, b, c, s in out]
+    point = dict(zip(poly.ring, poly.vertices))
+    return [LatticeTriangle(point[a], point[b], point[c], s)
+            for a, b, c, s in _ears(poly)]
 
 
 def _steps(stack: list[TriangleTuple],
@@ -515,7 +528,8 @@ def _refinement(poly: LatticePolygon,
     split's children next, in construction order.  Once the stream is
     spent, ``done`` holds exactly twice_polygon_area(poly) triangles,
     or InternalInvariantError has been raised."""
-    stack = [_as_tuple(t) for t in reversed(initial_triangulation(poly))]
+    stack = _ears(poly)
+    stack.reverse()
     _certify_ears(poly, stack)
     yield from _steps(stack, done)
     if len(done) != twice_polygon_area(poly):

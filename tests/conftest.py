@@ -131,12 +131,13 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
 _MAX_DIGITS = 4300
 
 
-def tokenizing_parse_plain(text: str) -> list[LatticePoint]:
+def tokenizing_parse_plain(text: str) -> list[tuple[int, int]]:
     """The plain format read by splitting every non-blank,
     comment-stripped line into whitespace-separated tokens and checking
     each one: the oracle for the one-regex fast path of
-    latticepick.cli._parse_plain, which must give the same vertices or
-    raise the same PolygonParseError, line and column included."""
+    latticepick.cli._parse_plain, which must give the same (x, y) int
+    pairs or raise the same PolygonParseError, line and column
+    included."""
     vertices = []
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -158,7 +159,7 @@ def tokenizing_parse_plain(text: str) -> list[LatticePoint]:
                 raise PolygonParseError(f"coordinate over {_MAX_DIGITS} digits",
                                         line=lineno, column=column)
             coords.append(int(tok))
-        vertices.append(LatticePoint(coords[0], coords[1]))
+        vertices.append((coords[0], coords[1]))
     return vertices
 
 

@@ -18,7 +18,6 @@ import pytest
 from latticepick import (
     LatticePoint,
     LatticePolygon,
-    LatticeTriangle,
     cli,
     polygon_lattice_points,
     triangulate,
@@ -156,24 +155,15 @@ class TestParseStructured:
             parse_polygon("0 0\n1 0\n0 1\n", source="poly.json")
 
 
-def forged_triangle(v0: LatticePoint, v1: LatticePoint, v2: LatticePoint,
-                    twice_area: int) -> LatticeTriangle:
-    """A LatticeTriangle built past its own checks."""
-    tri = object.__new__(LatticeTriangle)
-    for field, value in zip(("v0", "v1", "v2", "twice_area"),
-                            (v0, v1, v2, twice_area)):
-        object.__setattr__(tri, field, value)
-    return tri
-
-
-def moved(tri: LatticeTriangle, dx: int, dy: int) -> LatticeTriangle:
-    return LatticeTriangle(*(LatticePoint(v.x + dx, v.y + dy)
-                             for v in tri.vertices), tri.twice_area)
+def moved(ear: tuple, dx: int, dy: int) -> tuple:
+    *corners, s = ear
+    return (*((x + dx, y + dy) for x, y in corners), s)
 
 
 def faulty_ears(corrupt):
-    """A wrapper for initial_triangulation that corrupts its ears."""
-    return lambda clip: lambda poly: corrupt(clip(poly))
+    """A wrapper for the ear kernel _ears that corrupts its ears, the
+    (a, b, c, twice_area) tuples."""
+    return lambda ears: lambda poly: corrupt(ears(poly))
 
 
 def shifted_split_offset(split_offset):
@@ -195,15 +185,14 @@ def wrong_edge_gcd(gcd):
 #: latticepick.triangulate, wrapper of what the name holds, the message
 #: that catches it)
 FAULTS = {
-    "ear_off_polygon": ("initial_triangulation", faulty_ears(
+    "ear_off_polygon": ("_ears", faulty_ears(
         lambda ts: [moved(ts[0], 40, 40)] + ts[1:]), "polygon boundary"),
-    "duplicated_ear": ("initial_triangulation", faulty_ears(
+    "duplicated_ear": ("_ears", faulty_ears(
         lambda ts: ts + ts[:1]), "directed edge"),
-    "dropped_ear": ("initial_triangulation", faulty_ears(
+    "dropped_ear": ("_ears", faulty_ears(
         lambda ts: ts[:-1]), "polygon boundary"),
-    "reversed_ear": ("initial_triangulation", faulty_ears(
-        lambda ts: [forged_triangle(ts[0].v0, ts[0].v2, ts[0].v1,
-                                    ts[0].twice_area)] + ts[1:]),
+    "reversed_ear": ("_ears", faulty_ears(
+        lambda ts: [(ts[0][0], ts[0][2], ts[0][1], ts[0][3])] + ts[1:]),
         "not counterclockwise"),
     "shifted_split_point": ("_split_offset", shifted_split_offset,
                             "clockwise or degenerate"),
@@ -414,6 +403,48 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"2A = {2 * side * side}" in captured.err
         assert str(cli._MAX_TRIANGLES) in captured.err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("name", ["pentagon.txt", "square_structured.json"])
+    @pytest.mark.parametrize("command", [["area"], ["count"], ["pick"],
+                                         ["triangulate", "--events"],
+                                         ["svg", "-o"]])
+    def test_input_size_guard_before_any_read(self, command, name, tmp_path,
+                                              monkeypatch, capsys):
+        data = (DATA / name).read_bytes()
+        f = tmp_path / name
+        out_file = tmp_path / "p.svg"
+        argv = command[:1] + [str(f)] + command[1:]
+        if command[0] == "svg":
+            argv.append(str(out_file))
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", len(data))
+        # a file at the limit is read and runs as ever
+        f.write_bytes(data)
+        assert main(argv) == EXIT_OK
+        golden = GOLDEN / f.stem / ("render.svg" if command[0] == "svg"
+                                    else f"{command[0]}.txt")
+        written = out_file.read_text() if command[0] == "svg" \
+            else capsys.readouterr().out
+        assert written == golden.read_text()
+        out_file.unlink(missing_ok=True)
+
+        # one byte over, it is refused before a byte is read or parsed
+        def unreachable(*args):
+            raise AssertionError("input read past the size guard")
+
+        def unread(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            fh.read = unreachable
+            return fh
+
+        monkeypatch.setattr(cli, "open", unread, raising=False)
+        monkeypatch.setattr(cli, "parse_polygon", unreachable)
+        f.write_bytes(data + b"\n")
+        assert main(argv) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: input of {len(data) + 1} bytes is "
+                                f"over the limit of {len(data)}\n")
         assert not out_file.exists()
 
     def test_triangle_guard_admits_the_limit(self, tmp_path, monkeypatch,
@@ -726,22 +757,21 @@ class TestTracerPath:
                                                       tmp_path, capsys):
         # triangulate and svg both
         calls = []
-        for module, name in ((cli, "_refinement"),
-                             (triangulate, "initial_triangulation")):
+        for module, name in ((cli, "_refinement"), (triangulate, "_ears")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
         assert main(["triangulate", str(DATA / "pentagon.txt"),
                      "--events"]) == EXIT_OK
-        assert calls == ["_refinement", "initial_triangulation"]
+        assert calls == ["_refinement", "_ears"]
         assert capsys.readouterr().out == \
             (GOLDEN / "pentagon" / "triangulate.txt").read_text()
         calls.clear()
         out_file = tmp_path / "p.svg"
         assert main(["svg", str(DATA / "pentagon.txt"),
                      "-o", str(out_file)]) == EXIT_OK
-        assert calls == ["_refinement", "initial_triangulation"]
+        assert calls == ["_refinement", "_ears"]
         assert out_file.read_bytes() == \
             (GOLDEN / "pentagon" / "render.svg").read_bytes()
 

@@ -335,6 +335,89 @@ class TestPolygonCache:
             dataclasses.replace(poly, vertices=poly.vertices[:1] + poly.vertices)
 
 
+#: the 8 symmetries of the square lattice, (x, y) -> (ax + by, cx + dy)
+LATTICE_SYMMETRIES = [(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1),
+                      (0, 1, -1, 0), (-1, 0, 0, 1), (1, 0, 0, -1),
+                      (0, 1, 1, 0), (0, -1, -1, 0)]
+#: a valid ring, and one of each fault class; a ring of zero area that
+#: repeats no vertex and folds back nowhere crosses itself, so both
+#: builders name the crossing, ZeroAreaError being the backstop
+RING_KINDS = ("valid", "few", "far", "repeat", "fold", "cross", "zero")
+
+
+def random_ring(rng: random.Random, kind: str) -> list[tuple[int, int]]:
+    """A random ring of (x, y) pairs, clockwise half the time, with a
+    fault of the class ``kind``."""
+    if kind == "zero":  # two lobes of equal area, scaled and shifted
+        k, h, dx, dy = (rng.randint(1, 9) for _ in range(4))
+        ring = [(0, 0), (2 * k, 2 * h), (2 * k, 0), (0, 2 * h)]
+        return [(x + dx, y + dy) for x, y in ring]
+    ring = [(v.x, v.y) for v in
+            random_lattice_polygon(rng, rng.randint(3, 12), 20).vertices]
+    if rng.random() < 0.5:
+        ring.reverse()
+    i = rng.randrange(len(ring))
+    if kind == "few":
+        ring = ring[:rng.randint(0, 2)]
+    elif kind == "far":
+        x, y = ring[i]
+        ring[i] = (x, rng.choice((1, -1)) * (2**31 + rng.randint(1, 3)))
+    elif kind == "repeat":
+        ring.insert(i, ring[i])
+    elif kind == "fold":  # out along a spike and straight back
+        x, y = ring[i]
+        ring[i + 1:i + 1] = [(x + rng.randint(1, 5), y + rng.randint(-5, 5)),
+                             (x, y)]
+    elif kind == "cross":
+        rng.shuffle(ring)
+    return ring
+
+
+class TestRingEntry:
+    """core._ring_polygon, which the command line builds its polygons
+    with from int pairs, against validate_polygon on the same vertices
+    as LatticePoints."""
+
+    @staticmethod
+    def outcome(build, ring):
+        try:
+            poly = build(ring)
+        except PolygonError as exc:
+            return type(exc), str(exc), exc.indices
+        return (type(poly), poly.ring, poly.twice_area, poly.vertices, poly,
+                hash(poly), repr(poly))
+
+    @pytest.mark.parametrize("frame", LATTICE_SYMMETRIES)
+    @pytest.mark.parametrize("kind", RING_KINDS)
+    def test_agrees_with_validate_polygon(self, kind, frame):
+        a, b, c, d = frame
+        rng = random.Random(f"{kind} {frame}")
+        classes = Counter()
+        for _ in range(25):
+            ring = [(a * x + b * y, c * x + d * y)
+                    for x, y in random_ring(rng, kind)]
+            got = self.outcome(lambda r: core._ring_polygon(tuple(r)), ring)
+            assert got == self.outcome(
+                lambda r: validate_polygon([P(x, y) for x, y in r]), ring)
+            classes[got[0]] += 1
+        expected = {"valid": LatticePolygon, "few": TooFewVerticesError,
+                    "far": CoordinateRangeError, "repeat": RepeatedVertexError,
+                    "zero": SelfIntersectionError}.get(kind)
+        if expected is not None:
+            assert set(classes) == {expected}
+        elif kind == "fold":
+            assert SelfIntersectionError in classes
+
+    def test_builds_vertices_on_first_access(self):
+        poly = core._ring_polygon(((0, 0), (0, 3), (2, 0)))
+        assert "vertices" not in vars(poly)
+        assert poly.ring == ((0, 0), (2, 0), (0, 3)) and poly.twice_area == 6
+        assert poly.vertices == (P(0, 0), P(2, 0), P(0, 3))
+        assert poly.vertices is poly.vertices
+        with pytest.raises(AttributeError):
+            poly.no_such_attribute
+
+
 class TestPointInPolygon:
     # concave arrowhead: interior probes must respect the notch
     ARROW = [P(0, 0), P(4, 0), P(4, 4), P(2, 2), P(0, 4)]

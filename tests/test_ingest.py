@@ -4,7 +4,9 @@ on the way in."""
 
 from __future__ import annotations
 
+import json
 import random
+import time
 import traceback
 from collections import Counter
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 import latticepick.cli as cli
 import latticepick.core as core
+from latticepick import LatticePoint, LatticeTriangle
 from latticepick.cli import PolygonParseError, main
 
 from tests.conftest import tokenizing_parse_plain
@@ -116,9 +119,19 @@ class TestFastPathDifferential:
         ("1" * 4300 + " 2", True), ("1" * 4301 + " 2", False),
     ])
     def test_fast_path_takes_only_plain_ascii(self, line, fast):
-        assert bool(cli._VERTEX_LINE.match(line)) is fast
+        spans = [m.span() for m in cli._PLAIN_LINE.finditer(line)]
+        assert (spans == [(0, len(line))]) is fast
         assert outcome(cli._parse_plain, line) == \
             outcome(tokenizing_parse_plain, line)
+
+    def test_long_bad_line_is_refused_fast(self):
+        # the whole-text pattern searches past a line it does not match;
+        # anchored at line starts, that costs O(1) per position
+        text = "0 0\n" + "7" * 10**6 + "\n0 4\n"
+        start = time.perf_counter()
+        with pytest.raises(PolygonParseError, match=r"got 1 tokens \(line 2\)"):
+            cli._parse_plain(text)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("path", sorted(DATA.glob("*.txt"))
                              + sorted(DATA.glob("*.json"))
@@ -142,12 +155,12 @@ class TestFastPathDifferential:
 
 
 class TestShoelaceEvaluations:
-    """The doubled area is summed once while validating the raw input
-    and once by the polygon it builds, then only read."""
+    """The doubled area is summed once, on the ring as read, to choose
+    the orientation; the polygon built keeps it, and it is only read
+    from then on."""
 
     @pytest.mark.parametrize("name", ["star.txt", "clockwise_square.txt"])
-    def test_pick_sums_the_area_twice_at_most(self, name, monkeypatch,
-                                              capsys):
+    def test_pick_sums_the_area_once(self, name, monkeypatch, capsys):
         callers = []
         original = core._twice_area
 
@@ -158,5 +171,44 @@ class TestShoelaceEvaluations:
         monkeypatch.setattr(core, "_twice_area", counting)
         assert main(["pick", str(DATA / name)]) == 0
         assert capsys.readouterr().out.endswith(" OK\n")
-        assert 1 <= len(callers) < 3
+        assert len(callers) == 1
         assert not any("twice_polygon_area" in names for names in callers)
+
+
+class TestNoObjectsOnTheWay:
+    """The command line keeps int pairs from the file to the output: it
+    builds no LatticePoint and no LatticeTriangle, which only a caller
+    of the library asks for."""
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.txt"))
+                             + sorted(DATA.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_commands_build_no_point_and_no_triangle(self, path, tmp_path,
+                                                     monkeypatch, capsys):
+        if path.suffix == ".json":
+            ring = json.loads(path.read_text())
+            other = tmp_path / f"{path.stem}.txt"
+            other.write_text("".join(f"{x} {y}\n" for x, y in ring))
+        else:
+            ring = tokenizing_parse_plain(path.read_text())
+            other = tmp_path / f"{path.stem}.json"
+            other.write_text(json.dumps(ring))
+        built = Counter()
+        for cls in (LatticePoint, LatticeTriangle):
+            def counting(obj, _check=cls.__post_init__):
+                built[type(obj).__name__] += 1
+                _check(obj)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        out_file = tmp_path / "p.svg"
+        for source in (path, other):
+            for argv in (["area"], ["count"], ["pick"], ["triangulate"],
+                         ["triangulate", "--events"], ["svg", "-o"]):
+                argv = argv[:1] + [str(source)] + argv[1:]
+                if argv[0] == "svg":
+                    argv.append(str(out_file))
+                assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert built == Counter()
+        # the counting reaches the objects that a library call builds
+        cli.parse_polygon(path.read_text(), source=str(path)).vertices
+        assert built["LatticePoint"] == len(ring)

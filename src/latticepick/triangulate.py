@@ -2,11 +2,12 @@
 
 The pipeline has two stages.  initial_triangulation first cuts the
 polygon into n - 2 lattice triangles, the "ears", using only polygon
-vertices: one sweep in (x, y) order adds the diagonals that cut it into
-x-monotone pieces, and one stack pass cuts each piece, in O(n log n) on
-every simple ring with no lattice frame and no index.  Each triangle is
-then refined recursively: a triangle with a non-primitive edge splits at
-a lattice point of that edge, and a triangle whose edges are all
+vertices: one sweep in (x, y) order keeps, for each region between two
+edges across it, the stack of an x-monotone piece, and cuts triangles
+off those stacks as the vertices arrive, in O(n log n) on every simple
+ring with no lattice frame and no index.  Each triangle is then
+refined recursively: a triangle with a non-primitive edge splits at a
+lattice point of that edge, and a triangle whose edges are all
 primitive but whose doubled area exceeds 1 splits at the interior point
 located by the Bezout construction.  Every split strictly reduces the
 children's areas, so the process terminates with exactly
@@ -46,9 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import (
     InternalInvariantError,
@@ -177,172 +178,124 @@ class Triangulation:
         return tuple(_event(e) for e in self.event_tuples)
 
 
-def _diagonals(pts: Sequence[Point]) -> list[tuple[int, int]]:
-    """The diagonals, as pairs of ring indices, that cut the simple
-    counterclockwise ring ``pts`` into x-monotone pieces: the sweep of
-    de Berg, Cheong, van Kreveld and Overmars, Computational Geometry,
-    ch. 3, over the vertices in (x, y) order, which acts as a rotation
-    too small to change any other comparison, so vertical edges and
-    straight vertices need no special case.
+#: a stacked vertex: its point, its chain (0 lower, 1 upper, -1 the
+#: piece's last vertex) and its ring index
+_Stacked = tuple[Point, int, int]
 
-    A vertex whose neighbours both come after it is a start vertex if
-    it is convex and a split vertex if not; both before it, an end or a
-    merge vertex; else regular.  The status lists, bottom to top, the
-    edges across the sweep line with the polygon above them, each with
-    its helper: the last vertex passed whose segment down to the edge
-    runs inside.  A split vertex joins the helper of the edge below it,
-    and a vertex that ends an edge whose helper is a merge vertex, or
-    takes over as helper from one, joins it.
+
+def _cut(stack: list[_Stacked], e: _Stacked,
+         out: list[tuple[int, int, int, int]]) -> bool:
+    """One stack step of Garey, Johnson, Preparata and Tarjan,
+    "Triangulating a simple polygon", 1978: the vertex ``e`` arrives at
+    an x-monotone piece whose vertices not yet cut off are ``stack``,
+    all on the top's chain but the bottom one, and the triangles it
+    cuts off go to ``out`` as ring indices counterclockwise and the
+    doubled area.
+
+    A vertex on the other chain, or the last one, cuts off every
+    stacked vertex and returns True; one on the same chain cuts off the
+    top as long as their triangle with the next is strictly convex.
+    Either way ``e`` is pushed.
     """
-    n = len(pts)
-    status: list[tuple[Point, Point, int]] = []
-    helper = [0] * n  # by the ring index of the edge's start
-    merge = [False] * n
-    out: list[tuple[int, int]] = []
-    for v in sorted(range(n), key=pts.__getitem__):
-        a, p, b = pts[v - 1], pts[v], pts[(v + 1) % n]
-        px, py = p
-        convex = (px - a[0]) * (b[1] - py) > (py - a[1]) * (b[0] - px)
-        k = _first_not_below(status, px, py)
-        if a < p:  # the edge from a ends here, and it is status[k]
-            if merge[h := helper[v - 1]]:
-                out.append((h, v))
-            if b > p:  # regular, with the polygon above
-                status[k] = (p, b, v)
-                helper[v] = v
-                continue
-            del status[k]
-            if convex:  # end
-                continue
-            merge[v] = True
-        elif b > p:  # start or split
-            status.insert(k, (p, b, v))
-            helper[v] = v
-            if convex:
-                continue
-            j = status[k - 1][2]
-            out.append((helper[j], v))
-            helper[j] = v
-            continue
-        # merge, or regular with the polygon below: the edge below
-        j = status[k - 1][2]
-        if merge[h := helper[j]]:
-            out.append((h, v))
-        helper[j] = v
-    return out
+    (px, py), side, u = e
+    upper = stack[-1][1]
+    fan = side != upper
+    top = t = stack.pop()
+    while stack:
+        (sx, sy), (tx, ty) = stack[-1][0], t[0]
+        area = (tx - sx) * (py - sy) - (px - sx) * (ty - sy)
+        if upper:
+            area = -area
+        if area <= 0 and not fan:
+            break
+        s = stack.pop()
+        out.append((s[2], u, t[2], area) if upper
+                   else (s[2], t[2], u, area))
+        t = s
+    stack += (top, e) if fan else (t, e)
+    return fan
 
 
-def _pieces(pts: Sequence[Point],
-            diagonals: list[tuple[int, int]]) -> Iterator[list[int]]:
-    """The pieces into which ``diagonals`` cut the ring ``pts``, each as
-    its ring indices in counterclockwise order.
-
-    Each piece is a face with the polygon on its left and at least one
-    diagonal, so the walks start from the diagonals: from an edge uv a
-    walk goes on along the first edge at v clockwise from vu, and from
-    a ring edge straight to the next vertex with a diagonal.  There the
-    neighbours are sorted counterclockwise from the next ring vertex,
-    through the diagonals' far ends, which lie inside its angle, to the
-    previous one.
-    """
-    n = len(pts)
-    if not diagonals:
-        yield list(range(n))
-        return
-    around: dict[int, list[int]] = {}
-    for u, w in diagonals:
-        around.setdefault(u, []).append(w)
-        around.setdefault(w, []).append(u)
-    for v, ends in around.items():
-        if len(ends) > 1:
-            ox, oy = pts[v]
-            fx, fy = pts[(v + 1) % n]
-            fx, fy = fx - ox, fy - oy
-
-            def before(u: int, w: int) -> int:
-                """Negative if u comes before w counterclockwise from f."""
-                (ux, uy), (wx, wy) = pts[u], pts[w]
-                ux, uy, wx, wy = ux - ox, uy - oy, wx - ox, wy - oy
-                half = (fx * uy - fy * ux <= 0) - (fx * wy - fy * wx <= 0)
-                return half or wx * uy - wy * ux
-
-            ends.sort(key=cmp_to_key(before))
-        around[v] = [(v + 1) % n, *ends, (v - 1) % n]
-    heads = sorted(around)
-    after = dict(zip(heads, heads[1:] + heads[:1]))
-    seen: set[tuple[int, int]] = set()
-    for start in diagonals + [(w, u) for u, w in diagonals]:
-        if start in seen:
-            continue
-        piece: list[int] = []
-        u, w = start
-        while (u, w) not in seen:  # along the diagonal uw
-            seen.add((u, w))
-            piece.append(u)
-            ends = around[w]
-            x = ends[ends.index(u) - 1]
-            if x == ends[0]:  # along the ring to the next diagonal's end
-                j = after[w]
-                piece += range(w, j if w < j else n)
-                if j < w:
-                    piece += range(j)
-                w, x = j, around[j][-2]
-            u, w = w, x
-        yield piece
-
-
-def _monotone_triangles(pts: Sequence[Point], piece: list[int],
-                        out: list[tuple[int, int, int, int]]) -> None:
-    """Append to ``out`` the len(piece) - 2 triangles, as ring indices
-    counterclockwise and the doubled area, of the x-monotone piece
-    ``piece`` of the ring ``pts``, by one stack pass (Garey, Johnson,
-    Preparata and Tarjan, "Triangulating a simple polygon", 1978).
-
-    The vertices are taken in (x, y) order, each on its chain: the lower
-    one runs forward along the piece, the upper one back.  The stack
-    holds the vertices still to be cut off, all on one chain but the
-    bottom one.  A vertex on the other chain, or the last vertex, cuts
-    off every stacked one; a vertex on the same chain cuts off the top
-    as long as their triangle with the next is strictly convex.
-    """
-    ps = [pts[i] for i in piece]
-    lo = ps.index(min(ps))
-    ring, ps = piece[lo:] + piece[:lo], ps[lo:] + ps[:lo]
-    hi = ps.index(max(ps))
-    # the two chains are sorted already, so the sort merges them
-    order = sorted([(ps[t], 0, ring[t]) for t in range(1, hi)]
-                   + [(ps[t], 1, ring[t]) for t in range(len(ps) - 1, hi, -1)])
-    order.append((ps[hi], -1, ring[hi]))
-    stack = [(ps[0], -1, ring[0]), order[0]]
-    for e in order[1:]:
-        (px, py), side, u = e
-        upper = stack[-1][1]
-        fan = side != upper  # the other chain, or the last vertex
-        top = t = stack.pop()
-        while stack:
-            (sx, sy), (tx, ty) = stack[-1][0], t[0]
-            area = (tx - sx) * (py - sy) - (px - sx) * (ty - sy)
-            if upper:
-                area = -area
-            if area <= 0 and not fan:
-                break
-            s = stack.pop()
-            out.append((s[2], u, t[2], area) if upper
-                       else (s[2], t[2], u, area))
-            t = s
-        stack += (top, e) if fan else (t, e)
+def _arrive(region: list[list[_Stacked]], e: _Stacked,
+            out: list[tuple[int, int, int, int]]) -> list[list[_Stacked]]:
+    """The stacks of ``region`` after ``e`` arrives in it: _cut runs on
+    each, and of the two that a merge vertex leaves, the one whose
+    chain ``e`` is not on is closed and goes."""
+    going = region
+    for stack in region:
+        if not _cut(stack, e, out) and len(region) == 2:
+            going = [stack]
+    return going
 
 
 def _ears(poly: LatticePolygon) -> list[TriangleTuple]:
     """The n - 2 triangles of initial_triangulation, as
-    (a, b, c, twice_area) tuples of (x, y) points."""
+    (a, b, c, twice_area) tuples of (x, y) points, in the order that
+    one sweep cuts them off.
+
+    The sweep is that of de Berg, Cheong, van Kreveld and Overmars,
+    Computational Geometry, ch. 3, over the vertices in (x, y) order,
+    which acts as a rotation too small to change any other comparison,
+    so vertical edges and straight vertices need no special case.  A
+    vertex whose neighbours both come after it is a start vertex if it
+    is convex and a split vertex if not; both before it, an end or a
+    merge vertex; else regular.  The status lists, bottom to top, the
+    edges across the sweep line with the polygon above them.  Each
+    edge's region, up to the next edge above, holds the stack of _cut
+    of the x-monotone piece it is in, and each vertex arrives in the
+    region below or above it, on its upper or lower chain (Hertel and
+    Mehlhorn, FCT 1983).  A split vertex arrives on the chain of its
+    region's stack, as de Berg's diagonal to the stack's top would
+    have it, and the stack goes on in the region on that chain's side
+    of the split vertex; the region on the other side restarts from
+    the old top and the split vertex.  A merge vertex leaves
+    its region the stacks of both regions it ends, and the next vertex
+    to arrive there closes one of them and goes on with the other, as
+    de Berg's diagonal to the merge vertex would.
+    """
     pts = poly.ring
+    n = len(pts)
+    status: list[tuple[Point, Point, int]] = []
+    # the stacks of each region, by the ring index of its edge's start
+    regions: dict[int, list[list[_Stacked]]] = {}
     out: list[tuple[int, int, int, int]] = []
-    for piece in _pieces(pts, _diagonals(pts)):
-        _monotone_triangles(pts, piece, out)
-    if len(out) != len(pts) - 2 or \
+    for v in sorted(range(n), key=pts.__getitem__):
+        u = (v - 1) % n
+        a, p, b = pts[u], pts[v], pts[(v + 1) % n]
+        px, py = p
+        convex = (px - a[0]) * (b[1] - py) > (py - a[1]) * (b[0] - px)
+        k = _first_not_below(status, px, py)
+        if a < p:  # the edge from a ends here, and it is status[k]
+            if b > p:  # regular, with the polygon above
+                status[k] = (p, b, v)
+                regions[v] = _arrive(regions.pop(u), (p, 0, v), out)
+                continue
+            del status[k]
+            above = _arrive(regions.pop(u), (p, -1 if convex else 0, v), out)
+            if convex:  # end
+                continue
+            j = status[k - 1][2]  # merge: the region below takes both
+            regions[j] = _arrive(regions[j], (p, 1, v), out) + above
+        elif b > p:  # start or split
+            status.insert(k, (p, b, v))
+            if convex:
+                regions[v] = [[(p, 0, v)]]
+                continue
+            j = status[k - 1][2]
+            below: list[list[_Stacked]] = []
+            above = []
+            for stack in regions[j]:
+                top = stack[-1]
+                _cut(stack, (p, top[1], v), out)
+                (below if top[1] else above).append(stack)
+            regions[j] = below or [[top, (p, 1, v)]]
+            regions[v] = above or [[top, (p, 0, v)]]
+        else:  # regular, with the polygon below: the edge below
+            j = status[k - 1][2]
+            regions[j] = _arrive(regions[j], (p, 1, v), out)
+    if len(out) != n - 2 or \
             sum(t[3] for t in out) != twice_polygon_area(poly):
-        raise InternalInvariantError("monotone pieces lost area")
+        raise InternalInvariantError("the sweep lost area")
     return [(pts[a], pts[b], pts[c], s) for a, b, c, s in out]
 
 
@@ -350,10 +303,10 @@ def initial_triangulation(poly: LatticePolygon) -> list[LatticeTriangle]:
     """Cut ``poly`` into len(poly) - 2 counterclockwise triangles of
     positive area on its own vertices, straight ones included.
 
-    The diagonals of _diagonals cut it into x-monotone pieces, which
-    _pieces walks and _monotone_triangles cuts by one stack pass each:
-    O(n log n) comparisons on every simple ring, with no lattice frame
-    and no index.  The list depends only on the ring, so a rerun gives
+    One sweep in (x, y) order, _ears, cuts them off the stacks of the
+    x-monotone pieces that its regions hold: O(n log n) comparisons on
+    every simple ring, with no lattice frame and no index.  The list
+    depends only on the ring's vertices and their order, so a rerun gives
     the same one, and _certify_ears proves that it tiles the polygon.
     It is _ears, the tuples that the refinement reads, as
     LatticeTriangle objects on the polygon's own LatticePoints.
@@ -524,10 +477,11 @@ def _refinement(poly: LatticePolygon,
     """Refine ``poly`` depth-first as one stream: triangulate it on its
     vertices, certify those ears, then yield each split event of _steps
     as it happens while the finished triangles go to ``done``, which
-    starts empty, in completion order.  The initial triangles are refined in order, each
-    split's children next, in construction order.  Once the stream is
-    spent, ``done`` holds exactly twice_polygon_area(poly) triangles,
-    or InternalInvariantError has been raised."""
+    starts empty, in completion order.  The initial triangles are
+    refined in order, each split's children next, in construction
+    order.  Once the stream is spent, ``done`` holds exactly
+    twice_polygon_area(poly) triangles, or InternalInvariantError has
+    been raised."""
     stack = _ears(poly)
     stack.reverse()
     _certify_ears(poly, stack)
@@ -545,10 +499,9 @@ def primitive_triangulation(poly: LatticePolygon) -> Triangulation:
     full split-event log, held in memory.  Work proceeds depth-first:
     the initial triangles on the polygon's vertices are processed in
     order, and each split's children are processed next, in
-    construction order.  The
-    result is proved as it is built: the ears tile the polygon, each
-    split's children tile their parent, and there are
-    twice_polygon_area(poly) triangles.
+    construction order.  The result is proved as it is built: the ears
+    tile the polygon, each split's children tile their parent, and
+    there are twice_polygon_area(poly) triangles.
     """
     done: list[TriangleTuple] = []
     events = tuple(_refinement(poly, done))

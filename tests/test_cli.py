@@ -447,6 +447,48 @@ class TestExitCodes:
                                 f"over the limit of {len(data)}\n")
         assert not out_file.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"),
+                        reason="no /dev/zero")
+    @pytest.mark.parametrize("command", [["area"], ["count"], ["pick"],
+                                         ["triangulate", "--events"],
+                                         ["svg", "-o"]])
+    def test_endless_device_is_refused(self, command, tmp_path, monkeypatch,
+                                       capsys):
+        # a device has no size to check before the read, and /dev/zero
+        # has no end: it was read until memory ran out (defect 13)
+        out_file = tmp_path / "p.svg"
+        argv = command[:1] + ["/dev/zero"] + command[1:]
+        if command[0] == "svg":
+            argv.append(str(out_file))
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 1024)
+        assert main(argv) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input is over the limit of 1024 bytes\n"
+        assert not out_file.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("over", [False, True])
+    def test_pipe_is_read_up_to_the_limit(self, over, monkeypatch, capsys):
+        data = (DATA / "pentagon.txt").read_bytes()
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", len(data))
+        r, w = os.pipe()
+        try:
+            os.write(w, data + b"\n" * over)
+            os.close(w)
+            code = main(["area", f"/dev/fd/{r}"])
+        finally:
+            os.close(r)
+        captured = capsys.readouterr()
+        if over:
+            assert code == EXIT_GUARD
+            assert captured.out == ""
+            assert captured.err == ("error: input is over the limit of "
+                                    f"{len(data)} bytes\n")
+        else:
+            assert code == EXIT_OK
+            assert captured.out == (GOLDEN / "pentagon" / "area.txt").read_text()
+
     def test_triangle_guard_admits_the_limit(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.setattr(cli, "_MAX_TRIANGLES", 8)

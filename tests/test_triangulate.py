@@ -170,8 +170,7 @@ class TestEarClipOracle:
     certificate accepts, and the same list on a second run."""
 
     def same(self, ring, start=0):
-        ring = ring[start:] + ring[:start]
-        poly = validate_polygon([P(x, y) for x, y in ring])
+        poly = validate_polygon([P(x, y) for x, y in ring[start:] + ring[:start]])
         tris = initial_triangulation(poly)
         assert len(tris) == len(poly) - 2
         assert all(t.twice_area == twice_signed_area(*t.vertices) > 0
@@ -179,11 +178,19 @@ class TestEarClipOracle:
         assert {v for t in tris for v in t.vertices} <= set(poly.vertices)
         _certify_ears(poly, [_as_tuple(t) for t in tris])
         assert initial_triangulation(poly) == tris
+        if start:
+            # the sweep takes the vertices in (x, y) order, not by index,
+            # so the ears' corner triples do not depend on the start
+            first = validate_polygon([P(x, y) for x, y in ring])
+            assert {t.vertices for t in initial_triangulation(first)} == \
+                {t.vertices for t in tris}
 
     @pytest.mark.parametrize("name", ["sawtooth", "comb", "comb90",
                                       "spiral", "spiral_corners",
                                       "collinear", "near_misses",
-                                      "two_way_comb"])
+                                      "two_way_comb", "merge_then_lower",
+                                      "merge_then_upper", "merge_then_split",
+                                      "merge_then_merge", "merge_then_end"])
     def test_adversarial_shapes(self, name):
         rng = random.Random(71)
         ring = {
@@ -203,6 +210,19 @@ class TestEarClipOracle:
                 (x, 1 + (x % 2) * 3) for x in range(199, 0, -1)] + [(0, 4)],
             # n = 598, fans in two directions (defect 8)
             "two_way_comb": lambda: two_way_comb_ring(rng, 75),
+            # the smallest rings in which the region that a merge vertex
+            # leaves with two stacks is next reached by a regular vertex
+            # on its lower chain, one on its upper chain, a split, a
+            # merge and an end vertex
+            "merge_then_lower": lambda: [(0, 1), (-2, 1), (-2, 0), (-1, 0),
+                                         (-1, -2), (0, -2)],
+            "merge_then_upper": lambda: [(1, 2), (0, 2), (0, 1), (-2, 1),
+                                         (-2, 0), (-1, 0), (-1, -1), (1, -1)],
+            "merge_then_split": lambda: [(-1, 1), (0, 1), (0, 0), (2, 0),
+                                         (2, 1), (1, 1), (1, 2), (-1, 2)],
+            "merge_then_merge": lambda: [(-2, 1), (-1, 1), (-1, 0), (0, 0),
+                                         (0, -1), (2, -1), (2, 2), (-2, 2)],
+            "merge_then_end": lambda: [(0, 0), (4, 1), (0, 2), (2, 1)],
         }[name]()
         self.same(ring)
         if len(ring) < 1000:
